@@ -6,7 +6,7 @@ source, the learning algorithm and its hyperparameters, the run shape
 executes one run per seed and writes artifacts (resolved-config echo, summary
 CSV, per-slot CSVs, SVG curves); compare_experiments overlays several
 experiments that share system and trace settings; compute_oracle estimates
-the transition model from a trace and solves it by value iteration.
+the factored transition model from a trace and solves it by value iteration.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from .learners import (
     TdLambdaLearner,
     VirtualExperienceLearner,
 )
-from .mdp import LearningSchedule, stationary_distribution, value_iteration
+from .mdp import FactoredModel, LearningSchedule, stationary_distribution, value_iteration
 from .metrics import RunStats, error_curve
 from .svgplot import line_chart
-from .system import Simulator, SystemConfig, assemble_transition_model
+from .system import Simulator, SystemConfig, assemble_factored_model
 from .traces import (
     NonstationarySource,
     ReplaySource,
@@ -40,8 +40,12 @@ from .traces import (
     default_generator_params,
     empirical_arrival_distribution,
     load_csv,
-    synth_stationary,
+    synth_columns,
 )
+
+# Unused by the oracle; kept as module names that perfbench/tracing.py patches.
+from .system import assemble_transition_model  # noqa: F401
+from .traces import synth_stationary  # noqa: F401
 
 logger = logging.getLogger("layerq")
 
@@ -156,6 +160,7 @@ class LearnerSpec:
             raise ConfigError("learner.psi: must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("learner.lam: must be in [0, 1]")
+        self.schedule()  # fail at load time on a bad schedule
 
     def schedule(self) -> LearningSchedule:
         try:
@@ -185,6 +190,11 @@ class RunSpec:
             raise ConfigError(f"run.seeds: expected integers, got {self.seeds!r}") from None
         if not seeds:
             raise ConfigError("run.seeds: need at least one seed")
+        seen = set()
+        for seed in seeds:
+            if seed in seen:
+                raise ConfigError(f"run.seeds: duplicate seed {seed}")
+            seen.add(seed)
         object.__setattr__(self, "seeds", seeds)
         if self.checkpoint_interval < 1:
             raise ConfigError("run.checkpoint_interval: must be >= 1")
@@ -328,17 +338,25 @@ def make_source(cfg: ExperimentConfig, rng: np.random.Generator):
     return NonstationarySource(segments, unit_types, rng)
 
 
-def _type_walk(system: SystemConfig, n: int, rng: np.random.Generator) -> list[str]:
-    """Simulate the unit-type Markov chain for n steps (used for estimation
-    traces, so every type that the chain reaches gets observations)."""
+def _type_walk(system: SystemConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Type indices of the unit-type Markov chain over n steps from type 0
+    (used for estimation traces, so every type that the chain reaches gets
+    observations).
+
+    Uses the Simulator.slot rule: the next type is the first whose cumulative
+    probability exceeds the draw, clamped to the last type.
+    """
     cum = np.cumsum(system.type_matrix(), axis=1)
     draws = rng.random(n)
-    labels = []
+    last = len(system.unit_types) - 1
+    # next_of[z][i]: the type after z under draw i
+    next_of = [np.minimum(np.searchsorted(row, draws, side="right"), last).tolist() for row in cum]
+    walk = [0] * n
     z = 0
     for i in range(n):
-        labels.append(system.unit_types[z])
-        z = int(np.searchsorted(cum[z], draws[i], side="right"))
-    return labels
+        walk[i] = z
+        z = next_of[z][i]
+    return np.array(walk, dtype=np.intp)
 
 
 @dataclass
@@ -346,7 +364,7 @@ class OracleResult:
     """Estimated model and its exact solution."""
 
     dynamics: object
-    model: object
+    model: FactoredModel
     q_star: np.ndarray
     policy: np.ndarray
     values: np.ndarray
@@ -354,12 +372,12 @@ class OracleResult:
 
 
 def compute_oracle(cfg: ExperimentConfig) -> OracleResult:
-    """Estimation trace -> empirical dynamics -> model -> value iteration ->
-    stationary distribution of the optimal policy.
+    """Estimation trace -> empirical dynamics -> factored model -> value
+    iteration -> stationary distribution of the optimal policy.
 
     For csv traces the file itself is the estimation trace; synthetic traces
-    are materialized from the stationary generator params (first segment when
-    non-stationary) over a fresh type-chain walk.
+    are drawn as columns from the stationary generator params (first segment
+    when non-stationary) over a fresh type-chain walk.
     """
     system = cfg.system
     spec = cfg.oracle
@@ -367,13 +385,13 @@ def compute_oracle(cfg: ExperimentConfig) -> OracleResult:
         trace = load_csv(cfg.trace.path)
     else:
         rng = np.random.default_rng(spec.estimation_seed)
-        labels = _type_walk(system, spec.estimation_units, rng)
-        trace = synth_stationary(cfg.trace.base_params(), labels, rng)
+        walk = _type_walk(system, spec.estimation_units, rng)
+        trace = synth_columns(cfg.trace.base_params(), system.unit_types, walk, rng)
     logger.info("oracle: estimating dynamics from %d units", len(trace))
     dynamics = empirical_arrival_distribution(
         trace, system, min_samples=min(10_000, len(trace))
     )
-    model = assemble_transition_model(system, dynamics)
+    model = assemble_factored_model(system, dynamics)
     logger.info("oracle: value iteration (gamma=%g, tol=%g)", cfg.learner.gamma, spec.vi_tol)
     q_star, policy, values = value_iteration(model, cfg.learner.gamma, tol=spec.vi_tol)
     weights = stationary_distribution(model, policy, tol=spec.stationary_tol)
@@ -560,23 +578,28 @@ class ExperimentResult:
     files: list[str]
 
 
-def _oracle_if_needed(cfg: ExperimentConfig) -> OracleResult | None:
-    needs = cfg.learner.algorithm in ("oracle-greedy", "best-response-app", "best-response-os")
-    if cfg.oracle.enabled or needs:
-        if not cfg.oracle.enabled:
+def _oracle_if_needed(cfg: ExperimentConfig, cache: dict) -> OracleResult | None:
+    """The oracle a run uses: None when disabled, a ConfigError when the
+    algorithm needs it but it is disabled. One oracle is computed per
+    distinct (gamma, oracle settings) pair in `cache`."""
+    if not cfg.oracle.enabled:
+        if cfg.learner.algorithm in ("oracle-greedy", "best-response-app", "best-response-os"):
             raise ConfigError(
                 f"learner.algorithm: {cfg.learner.algorithm!r} needs the oracle; "
                 "set oracle.enabled: true"
             )
-        return compute_oracle(cfg)
-    return None
+        return None
+    key = (cfg.learner.gamma, cfg.oracle)
+    if key not in cache:
+        cache[key] = compute_oracle(cfg)
+    return cache[key]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Execute one run per seed and write all artifacts under out_dir."""
     out = Path(out_dir if out_dir is not None else cfg.outputs.dir)
     out.mkdir(parents=True, exist_ok=True)
-    oracle = _oracle_if_needed(cfg)
+    oracle = _oracle_if_needed(cfg, {})
     runs = [run_single(cfg, seed, oracle) for seed in cfg.run.seeds]
 
     files = []
@@ -672,18 +695,7 @@ def compare_experiments(configs: list[ExperimentConfig], out_dir) -> list[Experi
     reward_series = []
     error_series = []
     for label, cfg in zip(labels, configs):
-        needs = cfg.learner.algorithm in ("oracle-greedy", "best-response-app", "best-response-os")
-        oracle = None
-        if cfg.oracle.enabled or needs:
-            if not cfg.oracle.enabled:
-                raise ConfigError(
-                    f"learner.algorithm: {cfg.learner.algorithm!r} needs the oracle; "
-                    "set oracle.enabled: true"
-                )
-            key = (cfg.learner.gamma, cfg.oracle)
-            if key not in oracle_cache:
-                oracle_cache[key] = compute_oracle(cfg)
-            oracle = oracle_cache[key]
+        oracle = _oracle_if_needed(cfg, oracle_cache)
         runs = [run_single(cfg, seed, oracle) for seed in cfg.run.seeds]
         results.append(ExperimentResult(cfg, oracle, runs, str(out), []))
         for r in runs:

@@ -413,31 +413,40 @@ class VirtualExperienceLearner(CentralizedQLearner):
 
     def _virtual_updates(self, a: int, et: ExperienceTuple) -> None:
         # Inline equivalent of virtual_et_expand + virtual_et_update for the
-        # selected levels only; tests pin the equivalence.
+        # selected levels only; tests pin the equivalence bit for bit. The
+        # backups of one slot write only column a of the (f, z) block and read
+        # rows of the (f', z') block, so that column and the next rows' maxima
+        # over the other columns are read once, the backups run on Python
+        # floats in draw order, and the column is written back. When the two
+        # blocks coincide, next_col is col and later backups see earlier ones.
         cfg = self.cfg
         fi, zi, q_actual = et.state
         fi2, zi2, _ = et.next_state
-        base = (fi * self._n_types + zi) * self._n_levels
-        base_next = (fi2 * self._n_types + zi2) * self._n_levels
+        n_levels = self._n_levels
+        base = (fi * self._n_types + zi) * n_levels
+        base_next = (fi2 * self._n_types + zi2) * n_levels
         cap = cfg.capacity
-        w_os = cfg.power_weight
-        w_app = cfg.rd_weight
         mode = cfg.gain_mode
         gamma = self.schedule.gamma
+        alpha_at = self.schedule.alpha_at
         arrivals = et.arrivals
-        q = self.q
-        visits = self.visits
-        schedule = self.schedule
-        for level in _draw_virtual_levels(q_actual, cap, self.psi, self.rng):
-            level = int(level)
+        j_os = cfg.power_weight * et.cost_os
+        j_app = cfg.rd_weight * et.cost_app
+        block = slice(base, base + n_levels)
+        col = self.q[block, a].tolist()
+        counts = self.visits[block, a].tolist()
+        rows_next = self.q[base_next : base_next + n_levels]
+        next_col = col if base_next == base else rows_next[:, a].tolist()
+        others = np.delete(rows_next, a, axis=1).max(axis=1, initial=-np.inf).tolist()
+        for level in _draw_virtual_levels(q_actual, cap, self.psi, self.rng).tolist():
             occupancy_next, _ = buffer_step(level, arrivals, cap)
-            gain = utility_gain(level, arrivals, cap, mode)
-            reward = gain - w_os * et.cost_os - w_app * et.cost_app
-            s_v = base + level
-            s_vn = base_next + occupancy_next
-            alpha = schedule.alpha_at(visits[s_v, a])
-            q_update(q, s_v, a, reward, s_vn, alpha, gamma)
-            visits[s_v, a] += 1
+            reward = utility_gain(level, arrivals, cap, mode) - j_os - j_app
+            best = max(others[occupancy_next], next_col[occupancy_next])
+            alpha = alpha_at(counts[level])
+            col[level] += alpha * (reward + gamma * best - col[level])
+            counts[level] += 1
+        self.q[block, a] = col
+        self.visits[block, a] = counts
 
 
 @dataclass
@@ -696,8 +705,7 @@ def decomposed_tables(factors: FactoredModel, gamma: float, tol: float = 1e-8):
     the low-layer cost and expectation over s1' into inner. outer reshaped
     over actions equals q_star up to the value-iteration tolerance.
     """
-    joint = factors.to_joint()
-    q_star, _, v = value_iteration(joint, gamma, tol)
+    q_star, _, v = value_iteration(factors, gamma, tol)
     n1, m1, _ = factors.p_low.shape
     _, n2, m2, _ = factors.p_high.shape
     v_grid = v.reshape(n1, n2)

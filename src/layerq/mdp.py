@@ -1,9 +1,12 @@
 """Generic finite-MDP machinery.
 
-Dense-array representations of state/action spaces, transition models, and the
-tabular learning primitives (epsilon-greedy selection, one-step Q updates,
-value iteration, stationary distributions). Nothing in this module knows about
-the concrete encoder/frequency system; states and actions are integer indices.
+Dense-array representations of state/action spaces, transition models (dense
+and two-layer factored), and the tabular learning primitives (epsilon-greedy
+selection, one-step Q updates, value iteration, stationary distributions).
+The solvers see a model only through `validate`, `r`, `expected_next` and
+`policy_chain`, so they run on either representation. Nothing in this module
+knows about the concrete encoder/frequency system; states and actions are
+integer indices.
 """
 
 from __future__ import annotations
@@ -98,6 +101,15 @@ class TransitionModel:
         if row_err > tol:
             raise ModelError(f"transition rows deviate from 1 by {row_err:.3e}")
 
+    def expected_next(self, v: np.ndarray) -> np.ndarray:
+        """E[v(s') | s, a] as an (S, A) array."""
+        n_states, n_actions = self.r.shape
+        return (self.p.reshape(n_states * n_actions, n_states) @ v).reshape(n_states, n_actions)
+
+    def policy_chain(self, policy: np.ndarray) -> np.ndarray:
+        """The (S, S) transition matrix of the chain that `policy` induces."""
+        return self.p[np.arange(self.n_states), policy]
+
 
 @dataclass
 class FactoredModel:
@@ -117,18 +129,74 @@ class FactoredModel:
     weight_low: float
     weight_high: float
 
-    def to_joint(self) -> TransitionModel:
-        n1, m1, _ = self.p_low.shape
-        _, n2, m2, _ = self.p_high.shape
-        p = np.einsum("ikj,ixmy->ixkmjy", self.p_low, self.p_high)
+    @property
+    def n_states(self) -> int:
+        return self.p_low.shape[0] * self.p_high.shape[1]
+
+    @property
+    def n_actions(self) -> int:
+        return self.p_low.shape[1] * self.p_high.shape[2]
+
+    @property
+    def r(self) -> np.ndarray:
+        """Joint (S, A) rewards: gain - weight_low * cost_low - weight_high * cost_high."""
         r = (
             self.gain[:, :, None, :]
             - self.weight_low * self.cost_low[:, None, :, None]
             - self.weight_high * self.cost_high[None, :, None, :]
         )
+        return np.ascontiguousarray(r.reshape(self.n_states, self.n_actions))
+
+    def validate(self, tol: float = 1e-9) -> None:
+        n1, m1, n1_next = self.p_low.shape
+        if n1_next != n1:
+            raise ModelError(f"p_low must be (n1, m1, n1), got {self.p_low.shape}")
+        high = self.p_high.shape
+        if len(high) != 4 or high[0] != n1 or high[1] != high[3]:
+            raise ModelError(f"p_high must be (n1, n2, m2, n2), got {self.p_high.shape}")
+        _, n2, m2, _ = high
+        for name, arr, shape in (
+            ("gain", self.gain, (n1, n2, m2)),
+            ("cost_low", self.cost_low, (n1, m1)),
+            ("cost_high", self.cost_high, (n2, m2)),
+        ):
+            if arr.shape != shape:
+                raise ModelError(f"{name} shape {arr.shape} does not match factors, expected {shape}")
+        for name, factor in (("p_low", self.p_low), ("p_high", self.p_high)):
+            if np.any(factor < 0):
+                raise ModelError(f"negative probability in {name}")
+            row_err = np.abs(factor.sum(axis=-1) - 1.0).max()
+            if row_err > tol:
+                raise ModelError(f"{name} rows deviate from 1 by {row_err:.3e}")
+
+    def expected_next(self, v: np.ndarray) -> np.ndarray:
+        """E[v(s') | s, a] as an (S, A) array, one layer at a time: a matmul
+        over p_high for the next high state, then p_low for the next low state."""
+        n1, m1, _ = self.p_low.shape
+        _, n2, m2, _ = self.p_high.shape
+        # inner[i, x, m, j] = sum_y p_high[i, x, m, y] * v[j, y]
+        inner = self.p_high.reshape(n1 * n2 * m2, n2) @ v.reshape(n1, n2).T
+        inner = inner.reshape(n1, n2 * m2, n1)
+        # out[i, x, m, k] = sum_j inner[i, x, m, j] * p_low[i, k, j]
+        out = (inner @ self.p_low.transpose(0, 2, 1)).reshape(n1, n2, m2, m1)
+        return out.transpose(0, 1, 3, 2).reshape(n1 * n2, m1 * m2)
+
+    def policy_chain(self, policy: np.ndarray) -> np.ndarray:
+        """The (S, S) policy chain; entries are the same products as in to_joint()."""
+        n1, _, _ = self.p_low.shape
+        _, n2, m2, _ = self.p_high.shape
+        k, m = np.divmod(np.asarray(policy).reshape(n1, n2), m2)
+        i = np.arange(n1)[:, None]
+        low = self.p_low[i, k]                       # (n1, n2, n1): p_low[i, k(i, x), j]
+        high = self.p_high[i, np.arange(n2), m]      # (n1, n2, n2): p_high[i, x, m(i, x), y]
+        return (low[:, :, :, None] * high[:, :, None, :]).reshape(n1 * n2, n1 * n2)
+
+    def to_joint(self) -> TransitionModel:
+        """The dense model of the same MDP (a test reference for small instances)."""
+        p = np.einsum("ikj,ixmy->ixkmjy", self.p_low, self.p_high)
         return TransitionModel(
-            p=np.ascontiguousarray(p.reshape(n1 * n2, m1 * m2, n1 * n2)),
-            r=np.ascontiguousarray(r.reshape(n1 * n2, m1 * m2)),
+            p=np.ascontiguousarray(p.reshape(self.n_states, self.n_actions, self.n_states)),
+            r=self.r,
         )
 
 
@@ -160,6 +228,8 @@ class LearningSchedule:
             raise ValueError(f"unknown alpha_rule {self.alpha_rule!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not self.alpha_exponent > 0.0:
+            raise ValueError(f"alpha_exponent must be > 0, got {self.alpha_exponent}")
 
     def alpha_at(self, visits: int) -> float:
         if self.alpha_rule == "constant":
@@ -208,7 +278,7 @@ def q_update(
 
 
 def value_iteration(
-    model: TransitionModel,
+    model: TransitionModel | FactoredModel,
     gamma: float,
     tol: float = 1e-8,
     max_iter: int = 200_000,
@@ -223,13 +293,12 @@ def value_iteration(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     model.validate()
-    n_states, n_actions = model.r.shape
-    p_flat = model.p.reshape(n_states * n_actions, n_states)
-    q = np.zeros((n_states, n_actions))
+    r = model.r
+    q = np.zeros(r.shape)
     diff = np.inf
     for _ in range(max_iter):
         v = q.max(axis=1)
-        q_next = model.r + gamma * (p_flat @ v).reshape(n_states, n_actions)
+        q_next = r + gamma * model.expected_next(v)
         diff = float(np.abs(q_next - q).max())
         q = q_next
         if diff <= tol:
@@ -239,7 +308,7 @@ def value_iteration(
 
 
 def stationary_distribution(
-    model: TransitionModel,
+    model: TransitionModel | FactoredModel,
     policy: np.ndarray,
     tol: float = 1e-10,
     damping: float = 1e-6,
@@ -257,7 +326,7 @@ def stationary_distribution(
     n = model.n_states
     if len(policy) != n or np.any(policy < 0) or np.any(policy >= model.n_actions):
         raise ValueError("policy is not a valid action index per state")
-    chain = model.p[np.arange(n), policy]
+    chain = model.policy_chain(policy)
     if damping > 0.0:
         chain = (1.0 - damping) * chain + damping / n
     mu = np.full(n, 1.0 / n)

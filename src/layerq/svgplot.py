@@ -7,8 +7,8 @@ drawing; the numeric artifacts (CSVs) keep full resolution.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def line_chart(
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{html.escape(title, quote=False)}</text>'
         )
     for v in xt:
         x = px(float(v))
@@ -139,13 +139,13 @@ def line_chart(
     if x_label:
         parts.append(
             f'<text x="{left + pw / 2:.1f}" y="{height - 8}" '
-            f'text-anchor="middle">{escape(x_label)}</text>'
+            f'text-anchor="middle">{html.escape(x_label, quote=False)}</text>'
         )
     if y_label:
         cy = top + ph / 2
         parts.append(
             f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {cy:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 14 {cy:.1f})">{html.escape(y_label, quote=False)}</text>'
         )
     for i, (label, x, y) in enumerate(clean):
         color = PALETTE[i % len(PALETTE)]
@@ -162,7 +162,7 @@ def line_chart(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{escape(str(label))}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}">{html.escape(str(label), quote=False)}</text>')
         ly += 16
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

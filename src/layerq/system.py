@@ -15,6 +15,8 @@ equivalent used by the learning loops (equivalence is covered by tests).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +67,19 @@ class SystemConfig:
         self.unit_types = tuple(self.unit_types)
         self.configs = tuple(self.configs)
         self.type_transition = tuple(tuple(float(x) for x in row) for row in self.type_transition)
+        for name in (
+            "switch_prob", "power_coeff", "power_exp", "arrival_rate",
+            "power_weight", "rd_weight", "rd_lambda",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not all(math.isfinite(f) for f in self.frequencies):
+            raise ValueError(f"frequencies must be finite, got {self.frequencies}")
+        for name in ("capacity", "initial_occupancy"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if not self.frequencies or any(f <= 0 for f in self.frequencies):
             raise ValueError("frequencies must be positive")
         if any(a >= b for a, b in zip(self.frequencies, self.frequencies[1:])):
@@ -242,11 +257,13 @@ def step(
     reward = gain - cfg.power_weight * j_os - cfg.rd_weight * j_app
 
     freq_next = action.command if rng.random() < cfg.switch_prob else state.frequency
-    row = np.cumsum(cfg.type_transition[cfg.type_index(state.unit_type)])
+    row = cfg.type_transition[cfg.type_index(state.unit_type)]
     draw = rng.random()
     type_next = 0
-    while type_next < len(row) - 1 and draw >= row[type_next]:
+    bound = row[0]  # running cumulative sum, the same sums as np.cumsum(row)
+    while type_next < len(row) - 1 and draw >= bound:
         type_next += 1
+        bound += row[type_next]
 
     return StageOutcome(
         reward=reward,
@@ -411,7 +428,8 @@ def assemble_transition_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) ->
 
     The transition factors as p_os(f'|f,u) * p_type(z'|z) * p_buffer(q'|q,f,z,h)
     and the reward is E[gain] - power_weight * P(f) - rd_weight * E[J2], with
-    expectations over the empirical arrival distributions.
+    expectations over the empirical arrival distributions. The oracle solves
+    assemble_factored_model instead; this dense form is the tests' reference.
     """
     dynamics.validate(cfg)
     nf = len(cfg.frequencies)

@@ -8,6 +8,9 @@ piecewise-stationary in the non-stationary regime.
 
 The type sequence itself is not produced here: the simulator owns the type
 Markov chain and asks a source for the next sample of a given type.
+
+Estimation traces are held as columns (`TraceColumns`: per type, one array
+row per unit); `TraceSample` objects are kept for CSV files and replay.
 """
 
 from __future__ import annotations
@@ -38,6 +41,36 @@ class TraceSample:
     bits: np.ndarray
     distortion: np.ndarray
     cycles: np.ndarray
+
+
+@dataclass
+class TraceColumns:
+    """A trace grouped by unit type, for estimation.
+
+    by_type[label] is (bits, distortion, cycles), each (n_units, n_configs),
+    with row k the k-th unit of that type in trace order.
+    """
+
+    by_type: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return sum(len(cols[0]) for cols in self.by_type.values())
+
+    @classmethod
+    def from_samples(cls, samples: list[TraceSample]) -> "TraceColumns":
+        groups: dict[str, list[TraceSample]] = {}
+        for s in samples:
+            groups.setdefault(s.unit_type, []).append(s)
+        return cls(
+            {
+                label: (
+                    np.array([s.bits for s in group]),
+                    np.array([s.distortion for s in group]),
+                    np.array([s.cycles for s in group]),
+                )
+                for label, group in groups.items()
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -135,6 +168,17 @@ class GeneratorParams:
         )
 
 
+def _draw_cells(cells, n: int, rng: np.random.Generator):
+    """n units of one type: (bits, distortion, cycles), each (n, n_configs),
+    drawn cell by cell in config order."""
+    bits = np.empty((n, len(cells)))
+    dist = np.empty((n, len(cells)))
+    cyc = np.empty((n, len(cells)))
+    for h, cell in enumerate(cells):
+        bits[:, h], dist[:, h], cyc[:, h] = cell.draw(n, rng)
+    return bits, dist, cyc
+
+
 def default_generator_params() -> GeneratorParams:
     """Default synthetic workload.
 
@@ -178,13 +222,7 @@ class StationarySource:
         self._count = 0
 
     def _refill(self, type_idx: int) -> None:
-        n_cfg = len(self.params.configs)
-        bits = np.empty((self.block, n_cfg))
-        dist = np.empty((self.block, n_cfg))
-        cyc = np.empty((self.block, n_cfg))
-        for h, cell in enumerate(self._cells[type_idx]):
-            bits[:, h], dist[:, h], cyc[:, h] = cell.draw(self.block, self.rng)
-        self._buffers[type_idx] = [bits, dist, cyc]
+        self._buffers[type_idx] = list(_draw_cells(self._cells[type_idx], self.block, self.rng))
         self._cursors[type_idx] = 0
 
     def draw(self, type_idx: int) -> TraceSample:
@@ -235,14 +273,9 @@ class NonstationarySource:
 
     def draw(self, type_idx: int) -> TraceSample:
         params = self._params_at(self._count)
-        cells = params.for_type(self.unit_types[type_idx])
-        bits = np.empty(len(cells))
-        dist = np.empty(len(cells))
-        cyc = np.empty(len(cells))
-        for h, cell in enumerate(cells):
-            b, d, c = cell.draw(1, self.rng)
-            bits[h], dist[h], cyc[h] = b[0], d[0], c[0]
-        sample = TraceSample(self._count, self.unit_types[type_idx], bits, dist, cyc)
+        label = self.unit_types[type_idx]
+        bits, dist, cyc = _draw_cells(params.for_type(label), 1, self.rng)
+        sample = TraceSample(self._count, label, bits[0], dist[0], cyc[0])
         self._count += 1
         return sample
 
@@ -350,16 +383,27 @@ def synth_stationary(params: GeneratorParams, z_sequence, rng: np.random.Generat
     samples: list[TraceSample | None] = [None] * len(z_sequence)
     for label in sorted(positions):
         idx = positions[label]
-        cells = params.for_type(label)
-        n = len(idx)
-        bits = np.empty((n, len(cells)))
-        dist = np.empty((n, len(cells)))
-        cyc = np.empty((n, len(cells)))
-        for h, cell in enumerate(cells):
-            bits[:, h], dist[:, h], cyc[:, h] = cell.draw(n, rng)
+        bits, dist, cyc = _draw_cells(params.for_type(label), len(idx), rng)
         for k, i in enumerate(idx):
             samples[i] = TraceSample(i, label, bits[k], dist[k], cyc[k])
     return samples  # type: ignore[return-value]
+
+
+def synth_columns(
+    params: GeneratorParams, unit_types, type_indices: np.ndarray, rng: np.random.Generator
+) -> TraceColumns:
+    """Columnar synth_stationary for a type sequence given as indices into
+    unit_types: the same draws in the same order (labels sorted, then cells in
+    config order), so it consumes rng exactly as synth_stationary does on the
+    matching labels and yields the same values."""
+    counts = np.bincount(type_indices, minlength=len(unit_types)).tolist()
+    return TraceColumns(
+        {
+            label: _draw_cells(params.for_type(label), n, rng)
+            for label, n in sorted(zip(unit_types, counts))
+            if n
+        }
+    )
 
 
 def synth_nonstationary(segments, z_sequence, rng: np.random.Generator) -> list[TraceSample]:
@@ -386,48 +430,44 @@ def synth_nonstationary(segments, z_sequence, rng: np.random.Generator) -> list[
 
 
 def empirical_arrival_distribution(
-    trace: list[TraceSample],
+    trace: list[TraceSample] | TraceColumns,
     cfg: SystemConfig,
     min_samples: int = 10_000,
 ) -> EmpiricalDynamics:
     """Estimate per-(frequency, type, config) arrival-count pmfs and mean costs.
 
     Arrival counts are floor(cycles / f * arrival_rate) with the same
-    operation order as the simulator, so the floors agree bit-for-bit.
+    operation order as the simulator, so the floors agree bit-for-bit. Units
+    of types outside cfg.unit_types are ignored.
     """
     if len(trace) < min_samples:
         raise ValueError(f"trace has {len(trace)} samples, need >= {min_samples}")
     nf = len(cfg.frequencies)
     nz = len(cfg.unit_types)
     nh = len(cfg.configs)
-    by_type: list[list[TraceSample]] = [[] for _ in range(nz)]
-    label_to_idx = {label: i for i, label in enumerate(cfg.unit_types)}
-    for s in trace:
-        if len(s.bits) != nh:
-            raise TraceError(f"sample {s.index} has {len(s.bits)} configs, expected {nh}")
-        idx = label_to_idx.get(s.unit_type)
-        if idx is not None:
-            by_type[idx].append(s)
+    if not isinstance(trace, TraceColumns):
+        for s in trace:
+            if len(s.bits) != nh:
+                raise TraceError(f"sample {s.index} has {len(s.bits)} configs, expected {nh}")
+        trace = TraceColumns.from_samples(trace)
     missing = [
-        (label, h)
-        for i, label in enumerate(cfg.unit_types)
-        if not by_type[i]
-        for h in cfg.configs
+        (label, h) for label in cfg.unit_types if label not in trace.by_type for h in cfg.configs
     ]
     if missing:
         raise CoverageError(f"no observations for cells {missing}")
 
     counts_per_cell: list[list[np.ndarray]] = []
     mean_rd = np.zeros((nz, nh))
-    for zi in range(nz):
-        cycles = np.array([s.cycles for s in by_type[zi]])
-        bits = np.array([s.bits for s in by_type[zi]])
-        dist = np.array([s.distortion for s in by_type[zi]])
+    sample_counts = np.zeros(nz, dtype=int)
+    for zi, label in enumerate(cfg.unit_types):
+        bits, dist, cycles = trace.by_type[label]
+        if bits.shape[1] != nh:
+            raise TraceError(f"type {label!r} has {bits.shape[1]} configs, expected {nh}")
+        sample_counts[zi] = len(bits)
         mean_rd[zi] = (dist + cfg.rd_lambda * bits).mean(axis=0)
-        per_freq = []
-        for f in cfg.frequencies:
-            per_freq.append(np.floor(cycles / f * cfg.arrival_rate).astype(np.int64))
-        counts_per_cell.append(per_freq)
+        counts_per_cell.append(
+            [np.floor(cycles / f * cfg.arrival_rate).astype(np.int64) for f in cfg.frequencies]
+        )
 
     n_counts = 1 + max(int(per_freq.max()) for row in counts_per_cell for per_freq in row)
     pmf = np.zeros((nf, nz, nh, n_counts))
@@ -438,8 +478,4 @@ def empirical_arrival_distribution(
                 binned = np.bincount(counts[:, hi], minlength=n_counts)
                 pmf[fi, zi, hi] = binned / binned.sum()
 
-    return EmpiricalDynamics(
-        arrival_pmf=pmf,
-        mean_rd_cost=mean_rd,
-        sample_counts=np.array([len(by_type[zi]) for zi in range(nz)]),
-    )
+    return EmpiricalDynamics(arrival_pmf=pmf, mean_rd_cost=mean_rd, sample_counts=sample_counts)

@@ -26,11 +26,13 @@ from layerq import (
     TdLambdaLearner,
     TraceSpec,
     VirtualExperienceLearner,
+    assemble_transition_model,
     compare_experiments,
     compute_oracle,
     config_from_dict,
     config_to_dict,
     default_generator_params,
+    empirical_arrival_distribution,
     load_config,
     make_learner,
     make_source,
@@ -39,7 +41,9 @@ from layerq import (
     run_oracle_command,
     run_single,
     save_config,
+    stationary_distribution,
     synth_stationary,
+    value_iteration,
 )
 from layerq.cli import _parse_horizon, _parse_seeds, _setup_logging, main
 from layerq.experiments import OracleResult
@@ -328,10 +332,130 @@ def test_run_oracle_command(tmp_path, monkeypatch, small_oracle):
     assert sum(float(r["weight"]) for r in weight_rows) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_oracle_disabled_but_needed():
+def test_oracle_disabled_but_needed(tmp_path):
     cfg = greedy_cfg(oracle={"enabled": False})
     with pytest.raises(ConfigError, match="oracle.enabled"):
-        run_experiment(cfg, "unused")
+        run_experiment(cfg, str(tmp_path))
+    with pytest.raises(ConfigError, match="'oracle-greedy' needs the oracle; set oracle.enabled"):
+        compare_experiments([quick_cfg(), cfg], str(tmp_path))
+
+
+def object_estimation(cfg: ExperimentConfig):
+    """Estimation through per-unit objects, with a scalar type walk."""
+    system = cfg.system
+    rng = np.random.default_rng(cfg.oracle.estimation_seed)
+    cum = np.cumsum(system.type_matrix(), axis=1)
+    draws = rng.random(cfg.oracle.estimation_units)
+    labels = []
+    z = 0
+    for draw in draws:
+        labels.append(system.unit_types[z])
+        z = int(np.searchsorted(cum[z], draw, side="right"))
+    trace = synth_stationary(cfg.trace.base_params(), labels, rng)
+    return empirical_arrival_distribution(trace, system, min_samples=10_000)
+
+
+@pytest.fixture(scope="module")
+def default_oracle() -> OracleResult:
+    return compute_oracle(config_from_dict({}))
+
+
+@pytest.mark.parametrize("trace", [
+    {},
+    {"kind": "nonstationary", "segments": [{"duration": 500, "cycles_scale": 1.2}, {"duration": 500}]},
+])
+def test_oracle_estimation_matches_object_pipeline(trace, default_oracle):
+    """The columnar estimation trace gives the same dynamics, bit for bit."""
+    cfg = config_from_dict({"trace": trace})
+    dyn = default_oracle.dynamics if not trace else compute_oracle(cfg).dynamics
+    ref = object_estimation(cfg)
+    assert np.array_equal(dyn.arrival_pmf, ref.arrival_pmf)
+    assert np.array_equal(dyn.mean_rd_cost, ref.mean_rd_cost)
+    assert np.array_equal(dyn.sample_counts, ref.sample_counts)
+
+
+def test_oracle_matches_dense_solve(default_oracle):
+    """On the default instance the factored solve agrees with dense value
+    iteration on the joint tensor: same policy, Q* and V* to 1e-12, the same
+    weights bit for bit."""
+    gamma = config_from_dict({}).learner.gamma
+    joint = default_oracle.model.to_joint()
+    q, policy, v = value_iteration(joint, gamma, tol=1e-8)
+    assert np.array_equal(policy, default_oracle.policy)
+    assert np.abs(q - default_oracle.q_star).max() <= 1e-12
+    assert np.abs(v - default_oracle.values).max() <= 1e-12
+    assert np.array_equal(stationary_distribution(joint, policy), default_oracle.weights)
+    # and against the directly assembled dense model, up to its round-off
+    dense = assemble_transition_model(config_from_dict({}).system, default_oracle.dynamics)
+    assert np.abs(dense.p - joint.p).max() <= 1e-15
+    assert np.abs(stationary_distribution(dense, policy) - default_oracle.weights).max() <= 1e-12
+
+
+class ScriptedRng:
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.draws)
+        return self.draws
+
+
+def test_type_walk_follows_simulator_rule():
+    system = SystemConfig()
+    draws = np.random.default_rng(9).random(2000)
+    walk = experiments._type_walk(system, len(draws), ScriptedRng(draws))
+    z = 0
+    for i, draw in enumerate(draws):
+        assert walk[i] == z
+        row = np.cumsum(system.type_transition[z])
+        z = 0
+        while z < len(row) - 1 and draw >= row[z]:
+            z += 1
+
+
+def test_type_walk_clamps_to_last_type():
+    # a row that passes validation but sums to 1 - 5e-10
+    system = SystemConfig(
+        unit_types=("P", "B"), type_transition=((0.5, 0.4999999995), (0.5, 0.5))
+    )
+    walk = experiments._type_walk(system, 3, ScriptedRng([0.9999999999] * 3))
+    assert walk.tolist() == [0, 1, 1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrival_rate", float("nan")),
+    ("arrival_rate", float("inf")),
+    ("switch_prob", float("nan")),
+    ("power_weight", float("nan")),
+    ("power_weight", float("-inf")),
+    ("rd_weight", float("inf")),
+    ("rd_lambda", float("nan")),
+    ("frequencies", [2e8, float("inf")]),
+    ("frequencies", [float("nan"), 4e8]),
+    ("capacity", 50.5),
+    ("capacity", float("nan")),
+])
+def test_bad_system_numbers_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=rf"system: {field} must be"):
+        config_from_dict({"system": {field: value}})
+
+
+def test_integral_float_capacity_is_accepted():
+    cfg = config_from_dict({"system": {"capacity": 40.0}})
+    assert cfg.system.capacity == 40 and isinstance(cfg.system.capacity, int)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
+def test_bad_alpha_exponent_is_config_error(value):
+    with pytest.raises(ConfigError, match="learner: alpha_exponent must be > 0"):
+        config_from_dict({"learner": {"alpha_exponent": value}})
+
+
+def test_duplicate_seeds_are_rejected():
+    with pytest.raises(ConfigError, match="run.seeds: duplicate seed 1"):
+        config_from_dict({"run": {"seeds": [1, 2, 1]}})
+    with pytest.raises(ConfigError, match="run.seeds: duplicate seed 4"):
+        RunSpec(seeds=(4, 4))
 
 
 def write_yaml(tmp_path, name, data) -> str:
@@ -378,6 +502,18 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["run", cfg_path, "--horizon", "epic"]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err
+
+
+def test_cli_rejects_bad_numbers_and_duplicate_seeds(tmp_path, capsys):
+    nan_rate = write_yaml(tmp_path, "nan.yaml", quick_dict(system={"arrival_rate": float("nan")}))
+    assert main(["run", nan_rate, "--out", str(tmp_path / "out")]) == 1
+    assert "arrival_rate must be finite" in capsys.readouterr().err
+    dup = write_yaml(tmp_path, "dup.yaml", quick_dict(run={"seeds": [1, 1]}))
+    assert main(["run", dup, "--out", str(tmp_path / "out")]) == 1
+    cfg_path = write_yaml(tmp_path, "a.yaml", quick_dict())
+    assert main(["run", cfg_path, "--seeds", "2,2", "--out", str(tmp_path / "out")]) == 1
+    assert "run.seeds: duplicate seed 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_compare_mismatch(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FakeRng, small_config, small_dynamics, small_params, small_sim
 from layerq import (
@@ -434,30 +436,57 @@ def test_virtual_learner_constructor_clamps():
     assert learner.psi == small_config().capacity
 
 
-def test_virtual_fast_path_matches_public_ops():
-    """The learner's inlined virtual updates equal expand + update exactly."""
+def assert_virtual_fast_path_matches_public_ops(cfg, sched, psi, seed, n, params=None):
     from layerq import epsilon_greedy
 
-    cfg = small_config()
-    sched = LearningSchedule()
-    psi, seed, n = 3, 29, 400
-
-    sim_a, rng_a = small_sim(seed)
+    n_types, n_levels, n_configs = len(cfg.unit_types), cfg.capacity + 1, len(cfg.configs)
+    sim_a, rng_a = small_sim(seed, cfg, params)
     learner = VirtualExperienceLearner(cfg, sched, rng_a, psi=psi)
     for _ in range(n):
         learner.step(sim_a)
 
-    sim_b, rng_b = small_sim(seed)
-    q = np.zeros((24, 4))
-    visits = np.zeros((24, 4), dtype=np.int64)
+    sim_b, rng_b = small_sim(seed, cfg, params)
+    q = np.zeros_like(learner.q)
+    visits = np.zeros_like(learner.visits)
     for slot in range(n):
         s = sim_b.state_index()
         a = epsilon_greedy(q[s], sched.epsilon_at(slot), rng_b)
-        et, _ = sim_b.slot(*divmod(a, 2))
+        et, _ = sim_b.slot(*divmod(a, n_configs))
         expanded = virtual_et_expand(et, cfg)
-        virtual_et_update(q, visits, expanded, et.state[2], psi, sched, rng_b, 2, 6, 2)
+        virtual_et_update(
+            q, visits, expanded, et.state[2], psi, sched, rng_b, n_types, n_levels, n_configs
+        )
     assert np.array_equal(learner.q, q)
     assert np.array_equal(learner.visits, visits)
+
+
+def test_virtual_fast_path_matches_public_ops():
+    """The learner's inlined virtual updates equal expand + update exactly."""
+    assert_virtual_fast_path_matches_public_ops(small_config(), LearningSchedule(), 3, 29, 400)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.sampled_from(["proposed", "conventional"]),
+    st.sampled_from(["visit-decay", "constant"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_virtual_fast_path_matches_public_ops_random(seed, psi, gain_mode, alpha_rule):
+    """Bit for bit over seeds, psi, both gain modes and both alpha rules; the
+    two-type chain often stays in its (f, z) block, so backups of one slot
+    read rows that earlier backups of the same slot wrote."""
+    cfg = small_config(gain_mode=gain_mode)
+    sched = LearningSchedule(alpha_rule=alpha_rule, alpha=0.3, gamma=0.8, epsilon=0.3)
+    assert_virtual_fast_path_matches_public_ops(cfg, sched, psi, seed, 150)
+
+
+def test_virtual_fast_path_single_action():
+    """One frequency and one config: no other columns to take a maximum over."""
+    base = small_params()
+    params = GeneratorParams(configs=("h1",), per_type={z: (base.for_type(z)[0],) for z in ("P", "B")})
+    cfg = small_config(frequencies=(4e8,), configs=("h1",))
+    assert_virtual_fast_path_matches_public_ops(cfg, LearningSchedule(), 4, 5, 200, params)
 
 
 def test_td_reductions_equal_centralized():

@@ -6,6 +6,7 @@ from scipy import stats
 
 from layerq import (
     ActionSpace,
+    FactoredModel,
     LearningSchedule,
     ModelError,
     NumericalError,
@@ -23,6 +24,22 @@ def random_model(rng, n_states=4, n_actions=3) -> TransitionModel:
     p /= p.sum(axis=2, keepdims=True)
     r = rng.normal(size=(n_states, n_actions))
     return TransitionModel(p=p, r=r)
+
+
+def random_factored(rng, n1=2, n2=3, m1=2, m2=2) -> FactoredModel:
+    p_low = rng.random((n1, m1, n1)) + 0.05
+    p_low /= p_low.sum(axis=2, keepdims=True)
+    p_high = rng.random((n1, n2, m2, n2)) + 0.05
+    p_high /= p_high.sum(axis=3, keepdims=True)
+    return FactoredModel(
+        p_low=p_low,
+        p_high=p_high,
+        gain=rng.normal(size=(n1, n2, m2)),
+        cost_low=rng.random((n1, m1)),
+        cost_high=rng.random((n2, m2)),
+        weight_low=float(rng.uniform(0.1, 1.0)),
+        weight_high=float(rng.uniform(0.1, 1.0)),
+    )
 
 
 def test_state_space_round_trip():
@@ -198,6 +215,73 @@ def test_stationary_policy_validation():
         stationary_distribution(model, np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
         stationary_distribution(model, np.full(model.n_states, 99))
+
+
+def test_factored_model_ops_match_joint():
+    factors = random_factored(np.random.default_rng(4), n1=3, n2=4, m1=2, m2=3)
+    joint = factors.to_joint()
+    assert (factors.n_states, factors.n_actions) == (joint.n_states, joint.n_actions) == (12, 6)
+    v = np.random.default_rng(5).normal(size=12)
+    assert np.abs(factors.expected_next(v) - joint.expected_next(v)).max() <= 1e-14
+    policy = np.random.default_rng(6).integers(6, size=12)
+    # the policy chain holds the very products that to_joint() stores
+    assert np.array_equal(factors.policy_chain(policy), joint.policy_chain(policy))
+    assert np.array_equal(factors.r, joint.r)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_factored_solve_matches_dense(seed, n1, n2, m1, m2):
+    """Value iteration and the stationary solve on the factors agree with the
+    dense solve of to_joint(): Q* and V* to 1e-12 with the same policy, and
+    the weights bit for bit under that policy."""
+    factors = random_factored(np.random.default_rng(seed), n1, n2, m1, m2)
+    joint = factors.to_joint()
+    q_f, pol_f, v_f = value_iteration(factors, gamma=0.9, tol=1e-10)
+    q_d, pol_d, v_d = value_iteration(joint, gamma=0.9, tol=1e-10)
+    assert np.abs(q_f - q_d).max() <= 1e-12
+    assert np.abs(v_f - v_d).max() <= 1e-12
+    assert np.array_equal(pol_f, pol_d)
+    w_f = stationary_distribution(factors, pol_f)
+    w_d = stationary_distribution(joint, pol_d)
+    assert np.array_equal(w_f, w_d)
+
+
+def test_factored_model_validation():
+    factors = random_factored(np.random.default_rng(8))
+    factors.validate()
+    bad_rows = random_factored(np.random.default_rng(8))
+    bad_rows.p_high = bad_rows.p_high * 1.01
+    bad_low = random_factored(np.random.default_rng(8))
+    bad_low.p_low = bad_low.p_low.copy()
+    bad_low.p_low[0, 0] = [1.5, -0.5]
+    bad_shape = random_factored(np.random.default_rng(8))
+    bad_shape.cost_high = bad_shape.cost_high[:, :1]
+    bad_high = random_factored(np.random.default_rng(8))
+    bad_high.p_high = bad_high.p_high[:, :, :, :2]
+    for model, match in (
+        (bad_rows, "p_high rows deviate"),
+        (bad_low, "negative probability in p_low"),
+        (bad_shape, "cost_high shape"),
+        (bad_high, "p_high must be"),
+    ):
+        with pytest.raises(ModelError, match=match):
+            model.validate()
+        with pytest.raises(ModelError):
+            value_iteration(model, gamma=0.9)
+
+
+def test_alpha_exponent_must_be_positive():
+    # a negative exponent would make alpha grow with the visit count
+    for bad in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha_exponent"):
+            LearningSchedule(alpha_exponent=bad)
 
 
 def test_learning_schedule_alpha_rules():

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import layerq
 from layerq import line_chart
 from layerq.svgplot import MAX_POINTS, _downsample, _ticks
 
@@ -72,3 +77,26 @@ def test_tick_ladder():
     assert np.allclose(steps, steps[0])
     lead = float(f"{steps[0]:e}".split("e")[0])
     assert lead in (1.0, 2.0, 5.0)
+
+
+def test_import_leaves_network_modules_unloaded():
+    """Importing the package does not pull in urllib.request, http.client or
+    email (xml.sax.saxutils did), which would slow every CLI start."""
+    code = (
+        "import sys, layerq\n"
+        "print(','.join(m for m in ('urllib.request', 'http.client', 'email') if m in sys.modules))"
+    )
+    src = str(Path(layerq.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == ""
+
+
+def test_labels_are_escaped(tmp_path):
+    path = tmp_path / "chart.svg"
+    line_chart([("a<b & \"c\"", np.arange(3.0), np.arange(3.0))], str(path), title="x > y")
+    text = path.read_text()
+    assert "a&lt;b &amp; \"c\"" in text and "x &gt; y" in text
+    ET.parse(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_config, small_dynamics, small_params
+from conftest import FakeRng, small_config, small_dynamics, small_params
 from layerq import (
     EmpiricalDynamics,
     GlobalAction,
@@ -150,6 +150,20 @@ def test_step_type_chain_frequencies():
     assert counts["P"] / n == pytest.approx(0.375, abs=0.015)
     assert counts["B"] / n == pytest.approx(0.5, abs=0.015)
     assert counts["I"] / n == pytest.approx(0.125, abs=0.015)
+
+
+def test_step_type_draw_uses_cumulative_bounds():
+    """Type boundaries are the float cumulative sums of the row, as in
+    np.cumsum: with row (0.1, 0.2, 0.7) the second bound is 0.30000000000000004."""
+    cfg = SystemConfig(type_transition=((0.1, 0.2, 0.7), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0)))
+    bounds = np.cumsum(cfg.type_transition[0])
+    state = GlobalState(frequency=600e6, unit_type="P", occupancy=0)
+    action = GlobalAction(command=600e6, config="h1")
+    for draw, expected in (
+        (0.0, "P"), (bounds[0], "B"), (0.3, "B"), (bounds[1], "I"), (0.9999999999, "I"),
+    ):
+        out = step(cfg, state, action, make_sample(), FakeRng([0.0, float(draw)]))
+        assert out.next_state.unit_type == expected, draw
 
 
 def test_simulator_initial_state():

@@ -8,6 +8,7 @@ from layerq import (
     NonstationarySource,
     ReplaySource,
     StationarySource,
+    TraceColumns,
     TraceError,
     TraceSample,
     TripleDistribution,
@@ -16,6 +17,7 @@ from layerq import (
     load_csv,
     sample_at,
     save_csv,
+    synth_columns,
     synth_nonstationary,
     synth_stationary,
 )
@@ -270,3 +272,44 @@ def test_empirical_arrivals_errors():
     bad = [TraceSample(0, "P", np.array([1.0]), np.array([1.0]), np.array([1e6]))]
     with pytest.raises(TraceError):
         empirical_arrival_distribution(bad * 5, cfg, min_samples=1)
+
+
+def test_synth_columns_match_synth_stationary():
+    """Same draws, in the same order, as the object-based synthesis."""
+    unit_types = ("P", "B", "I")
+    walk = np.random.default_rng(3).integers(3, size=500)
+    labels = [unit_types[z] for z in walk]
+    rng_obj = np.random.default_rng(12)
+    rng_col = np.random.default_rng(12)
+    samples = synth_stationary(default_generator_params(), labels, rng_obj)
+    columns = synth_columns(default_generator_params(), unit_types, walk, rng_col)
+    assert rng_obj.random() == rng_col.random()  # both consumed the same stream
+    assert len(columns) == 500
+    assert sorted(columns.by_type) == ["B", "I", "P"]
+    for label in unit_types:
+        rows = [s for s in samples if s.unit_type == label]
+        bits, dist, cyc = columns.by_type[label]
+        assert np.array_equal(bits, np.array([s.bits for s in rows]))
+        assert np.array_equal(dist, np.array([s.distortion for s in rows]))
+        assert np.array_equal(cyc, np.array([s.cycles for s in rows]))
+    # a type the sequence never reaches gets no columns and no draws
+    only_p = synth_columns(default_generator_params(), unit_types, np.zeros(4, dtype=int), rng_col)
+    assert list(only_p.by_type) == ["P"] and len(only_p) == 4
+
+
+def test_empirical_arrivals_from_columns_match_samples():
+    cfg = small_config()
+    samples = synth_stationary(small_params(), ["P", "B", "B"] * 40, np.random.default_rng(8))
+    from_samples = empirical_arrival_distribution(samples, cfg, min_samples=1)
+    columns = TraceColumns.from_samples(samples)
+    from_columns = empirical_arrival_distribution(columns, cfg, min_samples=1)
+    assert np.array_equal(from_samples.arrival_pmf, from_columns.arrival_pmf)
+    assert np.array_equal(from_samples.mean_rd_cost, from_columns.mean_rd_cost)
+    assert from_columns.sample_counts.tolist() == [40, 80]
+    with pytest.raises(ValueError):
+        empirical_arrival_distribution(columns, cfg, min_samples=121)
+    with pytest.raises(CoverageError):
+        empirical_arrival_distribution(TraceColumns({"P": columns.by_type["P"]}), cfg, min_samples=1)
+    narrow = {label: tuple(a[:, :1] for a in cols) for label, cols in columns.by_type.items()}
+    with pytest.raises(TraceError):
+        empirical_arrival_distribution(TraceColumns(narrow), cfg, min_samples=1)
