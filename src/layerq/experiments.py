@@ -37,6 +37,7 @@ from .traces import (
     NonstationarySource,
     ReplaySource,
     StationarySource,
+    UnknownLabelError,
     default_generator_params,
     empirical_arrival_distribution,
     load_csv,
@@ -321,11 +322,19 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
 
 
+def _load_trace(cfg: ExperimentConfig) -> list:
+    """The csv trace of cfg; a type label outside system.unit_types is a config error."""
+    try:
+        return load_csv(cfg.trace.path, cfg.system.unit_types)
+    except UnknownLabelError as exc:
+        raise ConfigError(f"trace.path: {cfg.trace.path}: {exc} (system.unit_types)") from None
+
+
 def make_source(cfg: ExperimentConfig, rng: np.random.Generator):
     trace = cfg.trace
     unit_types = cfg.system.unit_types
     if trace.kind == "csv":
-        return ReplaySource(load_csv(trace.path), unit_types)
+        return ReplaySource(_load_trace(cfg), unit_types)
     base = default_generator_params().scaled(
         trace.cycles_scale, trace.bits_scale, trace.distortion_scale
     )
@@ -382,7 +391,7 @@ def compute_oracle(cfg: ExperimentConfig) -> OracleResult:
     system = cfg.system
     spec = cfg.oracle
     if cfg.trace.kind == "csv":
-        trace = load_csv(cfg.trace.path)
+        trace = _load_trace(cfg)
     else:
         rng = np.random.default_rng(spec.estimation_seed)
         walk = _type_walk(system, spec.estimation_units, rng)

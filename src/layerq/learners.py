@@ -18,6 +18,7 @@ import numpy as np
 
 from .mdp import (
     FactoredModel,
+    LazyTable,
     LearningSchedule,
     ModelError,
     TransitionModel,
@@ -92,6 +93,7 @@ class CentralizedQLearner:
         n_actions = cfg.action_space().n_actions
         self.q = np.zeros((n_states, n_actions))
         self.visits = np.zeros((n_states, n_actions), dtype=np.int64)
+        self.alphas = LazyTable(schedule.alpha_at)
         self.slot = 0
         self.message_log = MessageLog(self.message_labels)
 
@@ -114,9 +116,9 @@ class CentralizedQLearner:
 
     def _update(self, s: int, a: int, et: ExperienceTuple) -> float:
         s_next = self._state_index(et.next_state)
-        alpha = self.schedule.alpha_at(self.visits[s, a])
-        delta = q_update(self.q, s, a, et.reward, s_next, alpha, self.schedule.gamma)
-        self.visits[s, a] += 1
+        count = self.visits.item(s, a)
+        delta = q_update(self.q, s, a, et.reward, s_next, self.alphas[count], self.schedule.gamma)
+        self.visits[s, a] = count + 1
         return delta
 
     def state_values(self) -> np.ndarray:
@@ -129,26 +131,6 @@ class LayeredQTables:
 
     q_app: np.ndarray
     q_os: np.ndarray
-
-
-def layered_app_select(q_app: np.ndarray, s: int, epsilon: float, rng: np.random.Generator):
-    """Epsilon-greedy over the (config, next-low-state) grid of the inner table."""
-    grid = q_app[s]
-    if epsilon > 0.0 and rng.random() < epsilon:
-        flat = int(rng.integers(grid.size))
-    else:
-        flat = int(np.argmax(grid))
-    return divmod(flat, grid.shape[1])
-
-
-def layered_os_select(q_os: np.ndarray, s: int, epsilon: float, rng: np.random.Generator):
-    """Epsilon-greedy over the (command, config) grid of the outer table."""
-    grid = q_os[s]
-    if epsilon > 0.0 and rng.random() < epsilon:
-        flat = int(rng.integers(grid.size))
-    else:
-        flat = int(np.argmax(grid))
-    return divmod(flat, grid.shape[1])
 
 
 def layered_update(
@@ -175,12 +157,13 @@ def layered_update(
     s_next = (fi_next * n_types + zi_next) * n_levels + q_next
     a1, a2 = et.action
 
-    v_next = tables.q_os[s_next].max()
-    delta_app = (et.gain - rd_weight * et.cost_app + gamma * v_next) - tables.q_app[s, a2, fi_next]
-    tables.q_app[s, a2, fi_next] += alpha_app * delta_app
-    q1_updated = tables.q_app[s, a2, fi_next]
-    delta_os = (-power_weight * et.cost_os + q1_updated) - tables.q_os[s, a1, a2]
-    tables.q_os[s, a1, a2] += alpha_os * delta_os
+    v_next = max(tables.q_os[s_next].ravel().tolist())
+    q1 = tables.q_app.item(s, a2, fi_next)
+    delta_app = (et.gain - rd_weight * et.cost_app + gamma * v_next) - q1
+    q1_updated = tables.q_app[s, a2, fi_next] = q1 + alpha_app * delta_app
+    q_os = tables.q_os.item(s, a1, a2)
+    delta_os = (-power_weight * et.cost_os + q1_updated) - q_os
+    tables.q_os[s, a1, a2] = q_os + alpha_os * delta_os
     return float(delta_app), float(delta_os)
 
 
@@ -200,40 +183,42 @@ class LayeredQLearner:
         self._n_types = len(cfg.unit_types)
         self._n_levels = cfg.capacity + 1
         self._n_configs = len(cfg.configs)
+        self._n_freqs = len(cfg.frequencies)
         n_states = cfg.state_space().n_states
-        n_freqs = len(cfg.frequencies)
         self.tables = LayeredQTables(
-            q_app=np.zeros((n_states, self._n_configs, n_freqs)),
-            q_os=np.zeros((n_states, n_freqs, self._n_configs)),
+            q_app=np.zeros((n_states, self._n_configs, self._n_freqs)),
+            q_os=np.zeros((n_states, self._n_freqs, self._n_configs)),
         )
         self.visits_app = np.zeros(self.tables.q_app.shape, dtype=np.int64)
         self.visits_os = np.zeros(self.tables.q_os.shape, dtype=np.int64)
+        self.alphas = LazyTable(schedule.alpha_at)
         self.slot = 0
         self.message_log = MessageLog(self.message_labels)
 
     def step(self, sim: Simulator) -> SlotRecord:
         s = sim.state_index()
         eps = self.schedule.epsilon_at(self.slot)
-        config_idx, _optimistic_freq = layered_app_select(self.tables.q_app, s, eps, self.rng)
-        command_idx, _suggested_config = layered_os_select(self.tables.q_os, s, eps, self.rng)
+        # each layer picks a cell of its grid and acts on the cell's row
+        config_idx = epsilon_greedy(self.tables.q_app[s].ravel(), eps, self.rng) // self._n_freqs
+        command_idx = epsilon_greedy(self.tables.q_os[s].ravel(), eps, self.rng) // self._n_configs
         et, overflow = sim.slot(command_idx, config_idx)
 
         freq_next = et.next_state[0]
-        alpha_app = self.schedule.alpha_at(self.visits_app[s, config_idx, freq_next])
-        alpha_os = self.schedule.alpha_at(self.visits_os[s, command_idx, config_idx])
+        count_app = self.visits_app.item(s, config_idx, freq_next)
+        count_os = self.visits_os.item(s, command_idx, config_idx)
         _, delta_os = layered_update(
             self.tables,
             et,
-            alpha_os,
-            alpha_app,
+            self.alphas[count_os],
+            self.alphas[count_app],
             self.schedule.gamma,
             self.cfg.power_weight,
             self.cfg.rd_weight,
             self._n_types,
             self._n_levels,
         )
-        self.visits_app[s, config_idx, freq_next] += 1
-        self.visits_os[s, command_idx, config_idx] += 1
+        self.visits_app[s, config_idx, freq_next] = count_app + 1
+        self.visits_os[s, command_idx, config_idx] = count_os + 1
         self.message_log.record_slot()
         self.slot += 1
         return SlotRecord(et, overflow, delta_os)
@@ -279,6 +264,7 @@ class BestResponseLearner:
         self.fixed_policy = fixed_policy.astype(np.int64)
         self.q = np.zeros((n_states, n_own))
         self.visits = np.zeros((n_states, n_own), dtype=np.int64)
+        self.alphas = LazyTable(schedule.alpha_at)
         self.slot = 0
         self.message_log = MessageLog(self.message_labels)
 
@@ -292,9 +278,9 @@ class BestResponseLearner:
             et, overflow = sim.slot(a_own, a_other)
         fi, zi, q = et.next_state
         s_next = (fi * self._n_types + zi) * self._n_levels + q
-        alpha = self.schedule.alpha_at(self.visits[s, a_own])
-        delta = q_update(self.q, s, a_own, et.reward, s_next, alpha, self.schedule.gamma)
-        self.visits[s, a_own] += 1
+        count = self.visits.item(s, a_own)
+        delta = q_update(self.q, s, a_own, et.reward, s_next, self.alphas[count], self.schedule.gamma)
+        self.visits[s, a_own] = count + 1
         self.message_log.record_slot()
         self.slot += 1
         return SlotRecord(et, overflow, delta)
@@ -419,6 +405,7 @@ class VirtualExperienceLearner(CentralizedQLearner):
         # over the other columns are read once, the backups run on Python
         # floats in draw order, and the column is written back. When the two
         # blocks coincide, next_col is col and later backups see earlier ones.
+        # raw is buffer_step's unclamped level; the gains are utility_gain's.
         cfg = self.cfg
         fi, zi, q_actual = et.state
         fi2, zi2, _ = et.next_state
@@ -426,10 +413,10 @@ class VirtualExperienceLearner(CentralizedQLearner):
         base = (fi * self._n_types + zi) * n_levels
         base_next = (fi2 * self._n_types + zi2) * n_levels
         cap = cfg.capacity
-        mode = cfg.gain_mode
+        proposed = cfg.gain_mode == "proposed"
         gamma = self.schedule.gamma
-        alpha_at = self.schedule.alpha_at
-        arrivals = et.arrivals
+        alphas = self.alphas
+        shift = et.arrivals - 1
         j_os = cfg.power_weight * et.cost_os
         j_app = cfg.rd_weight * et.cost_app
         block = slice(base, base + n_levels)
@@ -437,14 +424,17 @@ class VirtualExperienceLearner(CentralizedQLearner):
         counts = self.visits[block, a].tolist()
         rows_next = self.q[base_next : base_next + n_levels]
         next_col = col if base_next == base else rows_next[:, a].tolist()
-        others = np.delete(rows_next, a, axis=1).max(axis=1, initial=-np.inf).tolist()
+        masked = rows_next.copy()
+        masked[:, a] = -np.inf
+        others = masked.max(axis=1).tolist()
         for level in _draw_virtual_levels(q_actual, cap, self.psi, self.rng).tolist():
-            occupancy_next, _ = buffer_step(level, arrivals, cap)
-            reward = utility_gain(level, arrivals, cap, mode) - j_os - j_app
+            raw = level + shift
+            occupancy_next = 0 if raw < 0 else cap if raw > cap else raw
+            gain = 1.0 - (raw / cap) ** 2 if proposed else 1.0 if raw <= cap else float(cap - raw)
             best = max(others[occupancy_next], next_col[occupancy_next])
-            alpha = alpha_at(counts[level])
-            col[level] += alpha * (reward + gamma * best - col[level])
-            counts[level] += 1
+            count = counts[level]
+            col[level] += alphas[count] * (gain - j_os - j_app + gamma * best - col[level])
+            counts[level] = count + 1
         self.q[block, a] = col
         self.visits[block, a] = counts
 
@@ -465,12 +455,7 @@ class EligibilityState:
             self.max_age = int(np.ceil(np.log(1e-12) / np.log(self.decay)))
         else:
             self.max_age = 0
-
-    def eligibility(self, pair) -> float:
-        last = self.last_visit.get(pair)
-        if last is None:
-            return 0.0
-        return self.decay ** (self.slot - last)
+        self.powers = LazyTable(lambda age: self.decay**age)  # trace weight by age
 
     def refresh(self, pair) -> None:
         self.last_visit.pop(pair, None)
@@ -506,24 +491,31 @@ def td_lambda_step(
     n_types: int,
     n_levels: int,
     n_configs: int,
+    alphas: LazyTable | None = None,
 ) -> float:
     """One trace-weighted sweep: full backup on the actual pair, then the
     current TD error applied as alpha * delta * e to the psi most eligible
     other pairs. Replacing traces decay by the same factor per slot, so the
     most eligible pairs are exactly the most recently visited ones. Visit
-    counts advance only for the actual pair. Advances elig by one slot."""
+    counts advance only for the actual pair. Advances elig by one slot.
+    The nudged pairs are distinct, so one gather-add-scatter applies them.
+    `alphas` is the caller's alpha table (a fresh one when None)."""
+    if alphas is None:
+        alphas = LazyTable(schedule.alpha_at)
     fi, zi, lv = et.state
     s = (fi * n_types + zi) * n_levels + lv
     fi2, zi2, q2 = et.next_state
     s_next = (fi2 * n_types + zi2) * n_levels + q2
     a = et.action[0] * n_configs + et.action[1]
-    alpha = schedule.alpha_at(visits[s, a])
-    delta = q_update(q, s, a, et.reward, s_next, alpha, schedule.gamma)
-    visits[s, a] += 1
-    if psi > 0 and elig.decay > 0.0:
-        for pair in elig.top_pairs(psi, exclude=(s, a)):
-            trace = elig.decay ** (elig.slot - elig.last_visit[pair])
-            q[pair] += schedule.alpha_at(visits[pair]) * delta * trace
+    count = visits.item(s, a)
+    delta = q_update(q, s, a, et.reward, s_next, alphas[count], schedule.gamma)
+    visits[s, a] = count + 1
+    pairs = elig.top_pairs(psi, exclude=(s, a)) if psi > 0 and elig.decay > 0.0 else None
+    if pairs:
+        cells = tuple(np.array(pairs).T)
+        rates = [alphas[k] * delta for k in visits[cells].tolist()]
+        traces = [elig.powers[elig.slot - elig.last_visit[pair]] for pair in pairs]
+        q[cells] += np.multiply(rates, traces)
     elig.refresh((s, a))
     elig.prune()
     elig.slot += 1
@@ -562,6 +554,7 @@ class TdLambdaLearner(CentralizedQLearner):
             self._n_types,
             self._n_levels,
             self._n_configs,
+            self.alphas,
         )
 
 

@@ -242,6 +242,19 @@ class LearningSchedule:
         return min(1.0, 1.0 / (1.0 + slot) ** 0.5)
 
 
+class LazyTable(dict):
+    """k -> f(k) for ints k >= 0, each entry computed once, on a Python int,
+    when first looked up: the learners' alpha per visit count and trace
+    weight per age. Entries exist only for the keys a run reaches."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, k: int) -> float:
+        value = self[k] = self.f(int(k))
+        return value
+
+
 def epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Pick argmax with probability 1-epsilon, else uniform over all actions.
 
@@ -256,7 +269,7 @@ def epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Generator) 
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(n))
-    return int(np.argmax(q_row))
+    return int(q_row.argmax())
 
 
 def q_update(
@@ -271,8 +284,9 @@ def q_update(
     """One tabular Q backup; mutates q[s, a] only and returns the TD error.
 
     Callers are responsible for alpha in [0, 1] (hot path, not re-checked).
+    Python's max of the row equals numpy's on finite rows (RunStats checks).
     """
-    delta = reward + gamma * q[s_next].max() - q[s, a]
+    delta = reward + gamma * max(q[s_next].tolist()) - q[s, a]
     q[s, a] += alpha * delta
     return float(delta)
 

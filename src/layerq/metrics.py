@@ -80,12 +80,17 @@ class RunStats:
         self._n = i + 1
 
     def maybe_checkpoint(self, learner) -> None:
-        """Snapshot learner.state_values() if a checkpoint boundary was hit."""
+        """Snapshot learner.state_values() if a checkpoint boundary was hit;
+        a NaN or infinite value raises FloatingPointError naming the state."""
         if self._n % self.checkpoint_interval != 0:
             return
         values = learner.state_values()
         if values is not None:
-            self.checkpoints.append((self._n, np.array(values, copy=True)))
+            values = np.array(values, copy=True)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise FloatingPointError(f"slot {self._n}: state {bad[0]} has value {values[bad[0]]}")
+            self.checkpoints.append((self._n, values))
 
     @property
     def mean_reward(self) -> float:

@@ -28,6 +28,10 @@ class TraceError(ValueError):
     """Malformed trace data (parse failures carry the offending line number)."""
 
 
+class UnknownLabelError(TraceError):
+    """A trace row's type label is not one of the configured unit types."""
+
+
 class CoverageError(ValueError):
     """A (type, config) cell has no observations; lists the missing cells."""
 
@@ -315,11 +319,13 @@ def _expected_header(n_configs: int) -> list[str]:
     return cols
 
 
-def load_csv(path) -> list[TraceSample]:
+def load_csv(path, unit_types=None) -> list[TraceSample]:
     """Read a trace file: one row per data unit, triples per configuration.
 
     Header `n,z,b_h1,d_h1,c_h1,...` is mandatory; the configuration count is
     inferred from it. Raises TraceError naming the line on any malformed row.
+    A type label is any non-empty string; when unit_types is given, a label
+    outside it raises UnknownLabelError naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -343,8 +349,10 @@ def load_csv(path) -> list[TraceSample]:
             except ValueError:
                 raise TraceError(f"line {line_no}: non-integer index {row[0]!r}") from None
             unit_type = row[1].strip()
-            if unit_type not in ("I", "P", "B"):
-                raise TraceError(f"line {line_no}: unknown type label {unit_type!r}")
+            if not unit_type:
+                raise TraceError(f"line {line_no}: empty type label")
+            if unit_types is not None and unit_type not in unit_types:
+                raise UnknownLabelError(f"line {line_no}: unknown type label {unit_type!r}")
             try:
                 values = [float(x) for x in row[2:]]
             except ValueError:

@@ -189,6 +189,36 @@ def test_make_source_kinds(tmp_path):
     assert isinstance(make_source(cs, rng), ReplaySource)
 
 
+def custom_label_trace(tmp_path, labels, n=600):
+    """A csv trace of the default workload with I, P, B renamed to `labels`."""
+    from layerq import TraceSample, save_csv
+
+    rename = dict(zip("IPB", labels))
+    drawn = synth_stationary(default_generator_params(), ["I", "P", "B"] * (n // 3), np.random.default_rng(2))
+    path = tmp_path / "custom.csv"
+    save_csv([TraceSample(s.index, rename[s.unit_type], s.bits, s.distortion, s.cycles) for s in drawn], path)
+    return str(path)
+
+
+def test_csv_trace_with_custom_unit_types(tmp_path, capsys):
+    path = custom_label_trace(tmp_path, ("key", "pred", "bi"))
+    system = {"unit_types": ["key", "pred", "bi"]}
+    cfg = quick_cfg(system=system, trace={"kind": "csv", "path": path})
+    source = make_source(cfg, np.random.default_rng(0))
+    assert [source.draw(i).unit_type for i in range(3)] == ["key", "pred", "bi"]
+    oracle = compute_oracle(cfg)
+    assert oracle.dynamics.arrival_pmf.shape[1] == 3
+    assert run_single(cfg, 3, oracle).stats.slots == 10
+    # a label outside system.unit_types is a config error naming the file and line
+    stray = quick_cfg(system={"unit_types": ["key", "pred", "other"]}, trace={"kind": "csv", "path": path})
+    for call in (lambda: make_source(stray, np.random.default_rng(0)), lambda: compute_oracle(stray)):
+        with pytest.raises(ConfigError, match=f"trace.path: {path}: line 4: unknown type label 'bi'"):
+            call()
+    cfg_path = write_yaml(tmp_path, "stray.yaml", quick_dict(**config_to_dict(stray)))
+    assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: trace.path:" in capsys.readouterr().err
+
+
 def test_make_learner_dispatch():
     rng = np.random.default_rng(0)
     fake = OracleResult(
@@ -529,6 +559,17 @@ def test_cli_runtime_error(tmp_path, capsys):
     )
     assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_non_finite_q_exits_2(tmp_path, capsys, monkeypatch):
+    def poisoned_update(self, s, a, et):
+        self.q[s, a] = np.nan
+        return 0.0
+
+    monkeypatch.setattr(CentralizedQLearner, "_update", poisoned_update)
+    cfg_path = write_yaml(tmp_path, "a.yaml", quick_dict())
+    assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "error: slot 5: state" in capsys.readouterr().err
 
 
 def test_cli_usage_errors():

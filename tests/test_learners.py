@@ -37,8 +37,7 @@ from layerq import (
     decomposed_tables,
     decomposition_check,
     default_generator_params,
-    layered_app_select,
-    layered_os_select,
+    epsilon_greedy,
     layered_update,
     step,
     td_lambda_step,
@@ -133,18 +132,29 @@ def test_centralized_state_values_shape():
     assert np.array_equal(values, learner.q.max(axis=1))
 
 
+def grid_select(grid: np.ndarray, epsilon: float, rng) -> tuple[int, int]:
+    """A layer's pick over its (row, column) grid, as LayeredQLearner makes it."""
+    return divmod(epsilon_greedy(grid.ravel(), epsilon, rng), grid.shape[1])
+
+
 def test_layered_select_grids():
     rng = np.random.default_rng(0)
     q_app = np.zeros((4, 3, 2))
-    assert layered_app_select(q_app, 1, 0.0, rng) == (0, 0)
+    assert grid_select(q_app[1], 0.0, rng) == (0, 0)
     q_app[1, 2, 1] = 5.0
-    assert layered_app_select(q_app, 1, 0.0, rng) == (2, 1)
+    assert grid_select(q_app[1], 0.0, rng) == (2, 1)
     q_os = np.zeros((4, 2, 3))
     q_os[2, 1, 2] = 1.0
-    assert layered_os_select(q_os, 2, 0.0, rng) == (1, 2)
+    assert grid_select(q_os[2], 0.0, rng) == (1, 2)
     # full exploration reaches every cell of the grid
-    hits = {layered_app_select(q_app, 0, 1.0, rng) for _ in range(500)}
+    hits = {grid_select(q_app[0], 1.0, rng) for _ in range(500)}
     assert hits == {(m, j) for m in range(3) for j in range(2)}
+    # the same draws as the two selects the learner used to call: one
+    # uniform, then one integer over the whole grid when exploring
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        flat = int(b.integers(6)) if b.random() < 0.3 else int(np.argmax(q_app[1]))
+        assert grid_select(q_app[1], 0.3, a) == divmod(flat, 2)
 
 
 def test_layered_update_cascade_from_zero():
@@ -205,8 +215,8 @@ def test_layered_deltas_vanish_at_fixed_point():
     d_os = np.empty(n)
     for t in range(n):
         s = sim.state_index()
-        config_idx, _ = layered_app_select(tables.q_app, s, 0.0, rng)
-        command_idx, _ = layered_os_select(tables.q_os, s, 0.0, rng)
+        config_idx, _ = grid_select(tables.q_app[s], 0.0, rng)
+        command_idx, _ = grid_select(tables.q_os[s], 0.0, rng)
         et, _ = sim.slot(command_idx, config_idx)
         d_app[t], d_os[t] = layered_update(
             tables, et, 0.0, 0.0, 0.9, cfg.power_weight, cfg.rd_weight, 2, 6
@@ -437,8 +447,6 @@ def test_virtual_learner_constructor_clamps():
 
 
 def assert_virtual_fast_path_matches_public_ops(cfg, sched, psi, seed, n, params=None):
-    from layerq import epsilon_greedy
-
     n_types, n_levels, n_configs = len(cfg.unit_types), cfg.capacity + 1, len(cfg.configs)
     sim_a, rng_a = small_sim(seed, cfg, params)
     learner = VirtualExperienceLearner(cfg, sched, rng_a, psi=psi)
@@ -512,10 +520,15 @@ def test_eligibility_state():
 
     es = EligibilityState(decay=0.5)
     assert es.max_age == 40
+    assert es.powers[3] == 0.5**3 and es.powers[0] == 1.0
+    # trace weights are filled by age as ages occur, so a decay near 1 (a
+    # max_age of 2.8e8) costs no memory up front
+    near_one = EligibilityState(decay=0.9999999)
+    assert near_one.max_age > 10**8 and len(near_one.powers) == 0
     es.refresh((0, 0))
     es.slot = 3
-    assert es.eligibility((0, 0)) == 0.5**3
-    assert es.eligibility((9, 9)) == 0.0
+    assert es.powers[es.slot - es.last_visit[(0, 0)]] == 0.5**3
+    assert (9, 9) not in es.last_visit
 
     es = EligibilityState(decay=0.5)
     for slot, pair in enumerate([(0, 0), (1, 0), (2, 0)]):

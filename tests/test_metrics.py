@@ -85,6 +85,25 @@ def test_checkpoint_cadence_and_isolation():
     assert stats2.checkpoints == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(bad):
+    """The learners' Python row maxima equal numpy's only on finite rows, so a
+    checkpoint stops the run at the first NaN or infinite state value."""
+    sim, rng = small_sim(7)
+    learner = CentralizedQLearner(small_config(), LearningSchedule(), rng)
+    stats = RunStats(horizon=500, checkpoint_interval=250)
+    for _ in range(499):
+        record = learner.step(sim)
+        stats.log_slot(record)
+        stats.maybe_checkpoint(learner)
+    learner.q[7] = bad
+    stats.maybe_checkpoint(learner)  # off a boundary: not checked
+    stats.log_slot(record)
+    with pytest.raises(FloatingPointError, match=f"slot 500: state 7 has value {bad}"):
+        stats.maybe_checkpoint(learner)
+    assert [n for n, _ in stats.checkpoints] == [250]
+
+
 def _one_record():
     sim, rng = small_sim(3)
     return CentralizedQLearner(small_config(), LearningSchedule(), rng).step(sim)

@@ -12,6 +12,7 @@ from layerq import (
     TraceError,
     TraceSample,
     TripleDistribution,
+    UnknownLabelError,
     default_generator_params,
     empirical_arrival_distribution,
     load_csv,
@@ -184,7 +185,7 @@ def test_load_csv_errors_name_the_line(tmp_path):
     cases = [
         ([header, "0,P,1.0,2.0,1000", "1,P,1.0,2.0"], "line 3"),
         ([header, "x,P,1.0,2.0,1000"], "line 2"),
-        ([header, "0,Q,1.0,2.0,1000"], "line 2"),
+        ([header, "0, ,1.0,2.0,1000"], "line 2: empty type label"),
         ([header, "0,P,abc,2.0,1000"], "line 2"),
         ([header, "0,P,-1.0,2.0,1000"], "line 2"),
         ([header, "0,P,1.0,2.0,0"], "line 2"),
@@ -193,6 +194,17 @@ def test_load_csv_errors_name_the_line(tmp_path):
         with pytest.raises(TraceError) as err:
             load_csv(write_lines(tmp_path, lines))
         assert needle in str(err.value)
+
+
+def test_load_csv_labels(tmp_path):
+    """Any non-empty label loads; a given label set names the first stray line."""
+    header = "n,z,b_h1,d_h1,c_h1"
+    path = write_lines(tmp_path, [header, "0,key,1.0,2.0,1000", "1,Q,1.0,2.0,1000"])
+    assert [s.unit_type for s in load_csv(path)] == ["key", "Q"]
+    assert len(load_csv(path, ("key", "Q"))) == 2
+    with pytest.raises(UnknownLabelError, match="line 3: unknown type label 'Q'"):
+        load_csv(path, ("key", "delta"))
+    assert issubclass(UnknownLabelError, TraceError)
 
 
 def test_load_csv_header_errors(tmp_path):
