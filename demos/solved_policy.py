@@ -2,7 +2,9 @@
 """Estimate the transition model, solve it, and inspect the optimal policy.
 
 The oracle pipeline estimates arrival distributions from a synthetic trace,
-assembles the factored transition model, and solves it by value iteration. The
+assembles the factored transition model (the frequency switch, the unit-type
+chain and the per-cell buffer factors, kept apart), and solves it by value
+iteration on those factors. The
 resulting policy is the benchmark every learner is measured against. This
 script prints the frequency command as a function of buffer occupancy (the
 policy's most interpretable slice) and then verifies that greedy play keeps

@@ -210,10 +210,20 @@ class OracleSpec:
     estimation_seed: int = 777
 
     def __post_init__(self):
-        if self.vi_tol <= 0 or self.stationary_tol <= 0:
-            raise ConfigError("oracle tolerances must be positive")
-        if self.estimation_units < 1:
-            raise ConfigError("oracle.estimation_units: must be >= 1")
+        # NaN fails every comparison, so it is rejected with the rest.
+        for name in ("vi_tol", "stationary_tol"):
+            value = getattr(self, name)
+            if not _is_real(value) or not 0.0 < value < float("inf"):
+                raise ConfigError(f"oracle.{name}: must be positive and finite, got {value!r}")
+        for name, low in (("estimation_units", 1), ("estimation_seed", 0)):
+            value = getattr(self, name)
+            if not _is_real(value) or not float(value).is_integer() or value < low:
+                raise ConfigError(f"oracle.{name}: must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

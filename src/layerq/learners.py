@@ -700,11 +700,11 @@ def decomposed_tables(factors: FactoredModel, gamma: float, tol: float = 1e-8):
     """
     q_star, _, v = value_iteration(factors, gamma, tol)
     n1, m1, _ = factors.p_low.shape
-    _, n2, m2, _ = factors.p_high.shape
-    v_grid = v.reshape(n1, n2)
+    n2, m2 = factors.n_states // n1, factors.p_buffer.shape[2]
+    high = factors.high_expectation(v).transpose(0, 1, 3, 2, 4).reshape(n1, n2, m2, n1)
     inner = (
         (factors.gain - factors.weight_high * factors.cost_high[None, :, :])[:, :, :, None]
-        + gamma * np.einsum("ixmy,jy->ixmj", factors.p_high, v_grid)
+        + gamma * high
     )
     outer = -factors.weight_low * factors.cost_low[:, None, :, None] + np.einsum(
         "ikj,ixmj->ixkm", factors.p_low, inner

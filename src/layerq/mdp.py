@@ -1,10 +1,11 @@
 """Generic finite-MDP machinery.
 
 Dense-array representations of state/action spaces, transition models (dense
-and two-layer factored), and the tabular learning primitives (epsilon-greedy
-selection, one-step Q updates, value iteration, stationary distributions).
-The solvers see a model only through `validate`, `r`, `expected_next` and
-`policy_chain`, so they run on either representation. Nothing in this module
+and factored: a low-layer factor, a type chain and a buffer factor), and the
+tabular learning primitives (epsilon-greedy selection, one-step Q updates,
+value iteration, stationary distributions). The solvers see a model only
+through `validate`, `r`, `expected_next` (action-major) and `policy_chain`,
+so they run on either representation. Nothing in this module
 knows about the concrete encoder/frequency system; states and actions are
 integer indices.
 """
@@ -102,9 +103,9 @@ class TransitionModel:
             raise ModelError(f"transition rows deviate from 1 by {row_err:.3e}")
 
     def expected_next(self, v: np.ndarray) -> np.ndarray:
-        """E[v(s') | s, a] as an (S, A) array."""
+        """E[v(s') | s, a] action-major, as an (A, S) array (a transposed view)."""
         n_states, n_actions = self.r.shape
-        return (self.p.reshape(n_states * n_actions, n_states) @ v).reshape(n_states, n_actions)
+        return (self.p.reshape(n_states * n_actions, n_states) @ v).reshape(n_states, n_actions).T
 
     def policy_chain(self, policy: np.ndarray) -> np.ndarray:
         """The (S, S) transition matrix of the chain that `policy` induces."""
@@ -113,16 +114,20 @@ class TransitionModel:
 
 @dataclass
 class FactoredModel:
-    """Two-layer factored MDP.
+    """Two-layer factored MDP whose high layer factors once more.
 
-    The low layer owns s1/a1 and its next-state factor depends only on them;
-    the high layer owns s2/a2 with a next-state factor conditioned on the full
-    state. Joint indices are s = s1 * n2 + s2 and a = a1 * m2 + a2, matching
-    StateSpace/ActionSpace layouts when s1 is the frequency component.
+    The low layer owns s1/a1; its next-state factor depends only on them. The
+    high layer owns s2 = (z, q) and a2: z follows the chain p_type(z'|z) and
+    q the factor p_buffer(q'|s1, z, a2, q), so p(s2'|s1, s2, a2) =
+    p_type[z, z'] * p_buffer[s1, z, a2, q, q']; a general two-layer high layer
+    is the case nz = 1, p_type = [[1.0]]. Joint indices are s = s1 * n2 + z * L
+    + q (n2 = nz * L) and a = a1 * m2 + a2, matching StateSpace/ActionSpace
+    layouts when s1 is the frequency component.
     """
 
     p_low: np.ndarray      # (n1, m1, n1)
-    p_high: np.ndarray     # (n1, n2, m2, n2)
+    p_type: np.ndarray     # (nz, nz)
+    p_buffer: np.ndarray   # (n1, nz, m2, L, L)
     gain: np.ndarray       # (n1, n2, m2) expected utility gain
     cost_low: np.ndarray   # (n1, m1)
     cost_high: np.ndarray  # (n2, m2)
@@ -131,11 +136,11 @@ class FactoredModel:
 
     @property
     def n_states(self) -> int:
-        return self.p_low.shape[0] * self.p_high.shape[1]
+        return self.p_low.shape[0] * self.p_type.shape[0] * self.p_buffer.shape[3]
 
     @property
     def n_actions(self) -> int:
-        return self.p_low.shape[1] * self.p_high.shape[2]
+        return self.p_low.shape[1] * self.p_buffer.shape[2]
 
     @property
     def r(self) -> np.ndarray:
@@ -151,10 +156,13 @@ class FactoredModel:
         n1, m1, n1_next = self.p_low.shape
         if n1_next != n1:
             raise ModelError(f"p_low must be (n1, m1, n1), got {self.p_low.shape}")
-        high = self.p_high.shape
-        if len(high) != 4 or high[0] != n1 or high[1] != high[3]:
-            raise ModelError(f"p_high must be (n1, n2, m2, n2), got {self.p_high.shape}")
-        _, n2, m2, _ = high
+        if self.p_type.ndim != 2 or self.p_type.shape[0] != self.p_type.shape[1]:
+            raise ModelError(f"p_type must be (nz, nz), got {self.p_type.shape}")
+        nz = self.p_type.shape[0]
+        buffer = self.p_buffer.shape
+        if len(buffer) != 5 or buffer[:2] != (n1, nz) or buffer[3] != buffer[4]:
+            raise ModelError(f"p_buffer must be (n1, nz, m2, L, L), got {buffer}")
+        n2, m2 = nz * buffer[3], buffer[2]
         for name, arr, shape in (
             ("gain", self.gain, (n1, n2, m2)),
             ("cost_low", self.cost_low, (n1, m1)),
@@ -162,38 +170,59 @@ class FactoredModel:
         ):
             if arr.shape != shape:
                 raise ModelError(f"{name} shape {arr.shape} does not match factors, expected {shape}")
-        for name, factor in (("p_low", self.p_low), ("p_high", self.p_high)):
+        factors = {"p_low": self.p_low, "p_type": self.p_type, "p_buffer": self.p_buffer}
+        for name, factor in factors.items():
             if np.any(factor < 0):
                 raise ModelError(f"negative probability in {name}")
             row_err = np.abs(factor.sum(axis=-1) - 1.0).max()
             if row_err > tol:
                 raise ModelError(f"{name} rows deviate from 1 by {row_err:.3e}")
 
+    def high_expectation(self, v: np.ndarray) -> np.ndarray:
+        """E[v(s1', z', q') | s1, z, q, a2] per next low state s1', as an
+        (n1, nz, m2, L, n1) array: next types mixed by p_type, then one
+        batched matmul over p_buffer for the next level."""
+        n1, nz, m2, n_levels, _ = self.p_buffer.shape
+        # w[z, q', j] = sum_z' p_type[z, z'] * v[j, z', q']
+        v_t = np.ascontiguousarray(v.reshape(n1, nz * n_levels).T)
+        w = (self.p_type @ v_t.reshape(nz, n_levels * n1)).reshape(nz, n_levels, n1)
+        high = self.p_buffer.reshape(n1, nz, m2 * n_levels, n_levels) @ w
+        return high.reshape(n1, nz, m2, n_levels, n1)
+
     def expected_next(self, v: np.ndarray) -> np.ndarray:
-        """E[v(s') | s, a] as an (S, A) array, one layer at a time: a matmul
-        over p_high for the next high state, then p_low for the next low state."""
+        """E[v(s') | s, a] action-major, as an (A, S) array: the high-layer
+        expectation, then p_low for the next low state."""
         n1, m1, _ = self.p_low.shape
-        _, n2, m2, _ = self.p_high.shape
-        # inner[i, x, m, j] = sum_y p_high[i, x, m, y] * v[j, y]
-        inner = self.p_high.reshape(n1 * n2 * m2, n2) @ v.reshape(n1, n2).T
-        inner = inner.reshape(n1, n2 * m2, n1)
-        # out[i, x, m, k] = sum_j inner[i, x, m, j] * p_low[i, k, j]
-        out = (inner @ self.p_low.transpose(0, 2, 1)).reshape(n1, n2, m2, m1)
-        return out.transpose(0, 1, 3, 2).reshape(n1 * n2, m1 * m2)
+        _, nz, m2, n_levels, _ = self.p_buffer.shape
+        high = self.high_expectation(v).reshape(n1, nz, m2 * n_levels, n1)
+        # out[i, z, k, (m, q)] = sum_j p_low[i, k, j] * high[i, z, (m, q), j]
+        out = self.p_low[:, None] @ high.transpose(0, 1, 3, 2)
+        return out.reshape(n1, nz, m1, m2, n_levels).transpose(2, 3, 0, 1, 4).reshape(m1 * m2, -1)
+
+    def _p_high(self, i, m) -> np.ndarray:
+        """p(s2'|s1 = i, s2, a2 = m) as (..., n2, n2), i and m broadcast against
+        the n2 states s2; each entry is one product p_type * p_buffer."""
+        nz, n_levels = self.p_type.shape[0], self.p_buffer.shape[3]
+        z, q = np.divmod(np.arange(nz * n_levels), n_levels)
+        buffer = self.p_buffer[i, z, m, q]                # (..., n2, L)
+        high = self.p_type[z][..., :, None] * buffer[..., None, :]
+        return high.reshape(high.shape[:-2] + (nz * n_levels,))
 
     def policy_chain(self, policy: np.ndarray) -> np.ndarray:
         """The (S, S) policy chain; entries are the same products as in to_joint()."""
-        n1, _, _ = self.p_low.shape
-        _, n2, m2, _ = self.p_high.shape
+        n1, m2 = self.p_low.shape[0], self.p_buffer.shape[2]
+        n2 = self.n_states // n1
         k, m = np.divmod(np.asarray(policy).reshape(n1, n2), m2)
         i = np.arange(n1)[:, None]
-        low = self.p_low[i, k]                       # (n1, n2, n1): p_low[i, k(i, x), j]
-        high = self.p_high[i, np.arange(n2), m]      # (n1, n2, n2): p_high[i, x, m(i, x), y]
+        low = self.p_low[i, k]          # (n1, n2, n1): p_low[i, k(i, x), j]
+        high = self._p_high(i, m)       # (n1, n2, n2): p_high[i, x, m(i, x), y]
         return (low[:, :, :, None] * high[:, :, None, :]).reshape(n1 * n2, n1 * n2)
 
     def to_joint(self) -> TransitionModel:
         """The dense model of the same MDP (a test reference for small instances)."""
-        p = np.einsum("ikj,ixmy->ixkmjy", self.p_low, self.p_high)
+        n1, m2 = self.p_low.shape[0], self.p_buffer.shape[2]
+        p_high = self._p_high(np.arange(n1)[:, None, None], np.arange(m2)[:, None])
+        p = np.einsum("ikj,imxy->ixkmjy", self.p_low, p_high)
         return TransitionModel(
             p=np.ascontiguousarray(p.reshape(self.n_states, self.n_actions, self.n_states)),
             r=self.r,
@@ -291,6 +320,13 @@ def q_update(
     return float(delta)
 
 
+def _log_solver(name: str, iterations: int, residual: float) -> None:
+    """Info-level solver record. logging is imported on first use: imported with
+    this module, ahead of the package, it raised every command's peak RSS 0.5 MB."""
+    import logging
+    logging.getLogger("layerq").info("%s: %d iterations, residual %.3e", name, iterations, residual)
+
+
 def value_iteration(
     model: TransitionModel | FactoredModel,
     gamma: float,
@@ -304,20 +340,21 @@ def value_iteration(
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     model.validate()
-    r = model.r
+    # Action-major (A, S): the max over actions then reduces contiguous rows.
+    r = np.ascontiguousarray(model.r.T)
     q = np.zeros(r.shape)
     diff = np.inf
-    for _ in range(max_iter):
-        v = q.max(axis=1)
-        q_next = r + gamma * model.expected_next(v)
+    for iteration in range(1, max_iter + 1):
+        q_next = r + gamma * model.expected_next(q.max(axis=0))
         diff = float(np.abs(q_next - q).max())
         q = q_next
         if diff <= tol:
-            policy = np.argmax(q, axis=1)
-            return q, policy, q.max(axis=1)
+            _log_solver("value iteration", iteration, diff)
+            q = np.ascontiguousarray(q.T)
+            return q, np.argmax(q, axis=1), q.max(axis=1)
     raise NumericalError("value iteration did not converge", diff)
 
 
@@ -345,11 +382,12 @@ def stationary_distribution(
         chain = (1.0 - damping) * chain + damping / n
     mu = np.full(n, 1.0 / n)
     residual = np.inf
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         mu_next = mu @ chain
         mu_next /= mu_next.sum()
         residual = float(np.abs(mu_next - mu).sum())
         mu = mu_next
         if residual <= tol:
+            _log_solver("stationary distribution", iteration, residual)
             return mu
     raise NumericalError("stationary distribution did not converge", residual)

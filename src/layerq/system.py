@@ -386,19 +386,21 @@ class EmpiricalDynamics:
             raise ModelError("mean_rd_cost shape does not match config")
 
 
-def _buffer_factor(pmf: np.ndarray, capacity: int) -> np.ndarray:
-    """Aggregate an arrival-count pmf through the buffer recursion.
+def _buffer_factors(arrival_pmf: np.ndarray, capacity: int) -> np.ndarray:
+    """Aggregate arrival-count pmfs through the buffer recursion.
 
-    Returns B[q, q'] = P(next occupancy = q' | occupancy q) for one
-    (frequency, type, config) cell.
+    arrival_pmf is (..., n_counts), one pmf per cell; returns B[..., q, q'] =
+    P(next occupancy = q' | occupancy q) per cell. np.add.at adds each cell's
+    pmf in count order: the same left-to-right sums as a per-cell loop.
     """
+    cells = arrival_pmf.reshape(-1, arrival_pmf.shape[-1])
     n_levels = capacity + 1
-    counts = np.arange(len(pmf))
-    factor = np.zeros((n_levels, n_levels))
+    counts = np.arange(cells.shape[1])
+    rows = np.arange(len(cells))[:, None]
+    factors = np.zeros((len(cells), n_levels, n_levels))
     for q in range(n_levels):
-        nxt = np.clip(q + counts - 1, 0, capacity)
-        np.add.at(factor[q], nxt, pmf)
-    return factor
+        np.add.at(factors[:, q], (rows, np.clip(q + counts - 1, 0, capacity)), cells)
+    return factors.reshape(arrival_pmf.shape[:-1] + (n_levels, n_levels))
 
 
 def _expected_gain(pmf: np.ndarray, capacity: int, mode: str) -> np.ndarray:
@@ -443,6 +445,7 @@ def assemble_transition_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) ->
     p_type = cfg.type_matrix()
     power = cfg.power_watts()
 
+    buffer_factors = _buffer_factors(dynamics.arrival_pmf, cfg.capacity)
     p = np.zeros((n_states, n_actions, n_states))
     r = np.zeros((n_states, n_actions))
     for fi in range(nf):
@@ -451,7 +454,6 @@ def assemble_transition_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) ->
             rows = slice(base, base + nl)
             for hi in range(nh):
                 pmf = dynamics.arrival_pmf[fi, zi, hi]
-                buffer_factor = _buffer_factor(pmf, cfg.capacity)
                 e_gain = _expected_gain(pmf, cfg.capacity, cfg.gain_mode)
                 cost = (
                     cfg.power_weight * power[fi]
@@ -460,7 +462,7 @@ def assemble_transition_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) ->
                 for ui in range(nf):
                     a = ui * nh + hi
                     block = np.einsum(
-                        "f,z,qp->qfzp", p_os[fi, ui], p_type[zi], buffer_factor
+                        "f,z,qp->qfzp", p_os[fi, ui], p_type[zi], buffer_factors[fi, zi, hi]
                     )
                     p[rows, a] = block.reshape(nl, n_states)
                     r[rows, a] = e_gain - cost
@@ -471,7 +473,8 @@ def assemble_transition_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) ->
 
 
 def assemble_factored_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) -> FactoredModel:
-    """Layered view of the same model: frequency factor vs (type, occupancy) factor.
+    """Layered view of the same model: the frequency factor, the type chain
+    and the buffer factors of all (frequency, type, config) cells.
 
     Low-layer states are frequency indices; high-layer states are
     type_idx * (capacity+1) + occupancy. to_joint() of the result matches
@@ -482,28 +485,17 @@ def assemble_factored_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) -> F
     nz = len(cfg.unit_types)
     nh = len(cfg.configs)
     nl = cfg.capacity + 1
-    n_high = nz * nl
 
-    p_type = cfg.type_matrix()
     power = cfg.power_watts()
-    p_high = np.zeros((nf, n_high, nh, n_high))
-    gain = np.zeros((nf, n_high, nh))
-    for fi in range(nf):
-        for zi in range(nz):
-            rows = slice(zi * nl, (zi + 1) * nl)
-            for hi in range(nh):
-                pmf = dynamics.arrival_pmf[fi, zi, hi]
-                buffer_factor = _buffer_factor(pmf, cfg.capacity)
-                block = np.einsum("y,qp->qyp", p_type[zi], buffer_factor)
-                p_high[fi, rows, hi] = block.reshape(nl, n_high)
-                gain[fi, rows, hi] = _expected_gain(pmf, cfg.capacity, cfg.gain_mode)
-
+    cells = dynamics.arrival_pmf.reshape(nf * nz * nh, -1)
+    gain = np.array([_expected_gain(pmf, cfg.capacity, cfg.gain_mode) for pmf in cells])
     return FactoredModel(
         p_low=_os_factor(cfg),
-        p_high=p_high,
-        gain=gain,
+        p_type=cfg.type_matrix(),
+        p_buffer=_buffer_factors(dynamics.arrival_pmf, cfg.capacity),
+        gain=gain.reshape(nf, nz, nh, nl).transpose(0, 1, 3, 2).reshape(nf, nz * nl, nh),
         cost_low=np.repeat(power[:, None], nf, axis=1),
-        cost_high=np.repeat(dynamics.mean_rd_cost[:, None, :], nl, axis=1).reshape(n_high, nh),
+        cost_high=np.repeat(dynamics.mean_rd_cost[:, None, :], nl, axis=1).reshape(nz * nl, nh),
         weight_low=cfg.power_weight,
         weight_high=cfg.rd_weight,
     )

@@ -202,16 +202,21 @@ def test_layer_decomposition_identity_random_instances():
     worst = 0.0
     for _ in range(20):
         n1 = int(rng.integers(1, 4))
-        n2 = int(rng.integers(1, 5))
+        nz = int(rng.integers(1, 4))
+        n_levels = int(rng.integers(1, 4))
         m1 = int(rng.integers(1, 4))
         m2 = int(rng.integers(1, 4))
+        n2 = nz * n_levels
         p_low = rng.random((n1, m1, n1)) + 0.05
         p_low /= p_low.sum(axis=2, keepdims=True)
-        p_high = rng.random((n1, n2, m2, n2)) + 0.05
-        p_high /= p_high.sum(axis=3, keepdims=True)
+        p_type = rng.random((nz, nz)) + 0.05
+        p_type /= p_type.sum(axis=1, keepdims=True)
+        p_buffer = rng.random((n1, nz, m2, n_levels, n_levels)) + 0.05
+        p_buffer /= p_buffer.sum(axis=4, keepdims=True)
         factors = FactoredModel(
             p_low=p_low,
-            p_high=p_high,
+            p_type=p_type,
+            p_buffer=p_buffer,
             gain=rng.normal(size=(n1, n2, m2)),
             cost_low=rng.random((n1, m1)),
             cost_high=rng.random((n2, m2)),

@@ -546,6 +546,48 @@ def test_cli_rejects_bad_numbers_and_duplicate_seeds(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+BAD_ORACLE_SETTINGS = (
+    ("vi_tol", float("nan")),
+    ("stationary_tol", float("nan")),
+    ("vi_tol", float("inf")),
+    ("stationary_tol", -1e-9),
+    ("vi_tol", "tiny"),
+    ("estimation_units", 1000.5),
+    ("estimation_units", 0),
+    ("estimation_seed", -3),
+    ("estimation_seed", 2.5),
+    ("estimation_seed", True),
+)
+
+
+@pytest.mark.parametrize("field_name, value", BAD_ORACLE_SETTINGS)
+def test_oracle_settings_fail_fast(field_name, value):
+    """A NaN tolerance ran toward the iteration cap, an infinite one returned
+    a one-backup solution, and bad estimation settings failed only inside
+    compute_oracle; each is a config error naming the field."""
+    with pytest.raises(ConfigError, match=f"oracle.{field_name}: must be"):
+        config_from_dict({"oracle": {field_name: value}})
+
+
+def test_oracle_integral_settings_accept_integral_floats():
+    spec = config_from_dict({"oracle": {"estimation_units": 3000.0, "estimation_seed": 5.0}}).oracle
+    assert (spec.estimation_units, spec.estimation_seed) == (3000, 5)
+    assert type(spec.estimation_units) is int and type(spec.estimation_seed) is int
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [("vi_tol", float("inf")), ("estimation_units", 1000.5), ("estimation_seed", -3)],
+)
+def test_cli_oracle_settings_exit_1(tmp_path, capsys, field_name, value):
+    cfg_path = write_yaml(
+        tmp_path, "a.yaml", quick_dict(oracle={"enabled": True, "estimation_units": 2000, field_name: value})
+    )
+    assert main(["oracle", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: oracle.{field_name}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare_mismatch(tmp_path):
     a = write_yaml(tmp_path, "a.yaml", quick_dict())
     b = write_yaml(tmp_path, "b.yaml", quick_dict(trace={"cycles_scale": 2.0}))

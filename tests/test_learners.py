@@ -271,14 +271,18 @@ def test_decomposition_degenerate_low_layer():
     assert decomposition_check(model, factors, gamma=0.9) <= 1e-6
 
 
-def random_factors(rng, n1=2, n2=3, m1=2, m2=2) -> FactoredModel:
+def random_factors(rng, n1=2, nz=2, n_levels=2, m1=2, m2=2) -> FactoredModel:
     p_low = rng.random((n1, m1, n1)) + 0.1
     p_low /= p_low.sum(axis=2, keepdims=True)
-    p_high = rng.random((n1, n2, m2, n2)) + 0.1
-    p_high /= p_high.sum(axis=3, keepdims=True)
+    p_type = rng.random((nz, nz)) + 0.1
+    p_type /= p_type.sum(axis=1, keepdims=True)
+    p_buffer = rng.random((n1, nz, m2, n_levels, n_levels)) + 0.1
+    p_buffer /= p_buffer.sum(axis=4, keepdims=True)
+    n2 = nz * n_levels
     return FactoredModel(
         p_low=p_low,
-        p_high=p_high,
+        p_type=p_type,
+        p_buffer=p_buffer,
         gain=rng.normal(size=(n1, n2, m2)),
         cost_low=rng.random((n1, m1)),
         cost_high=rng.random((n2, m2)),

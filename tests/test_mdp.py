@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,20 +29,41 @@ def random_model(rng, n_states=4, n_actions=3) -> TransitionModel:
     return TransitionModel(p=p, r=r)
 
 
-def random_factored(rng, n1=2, n2=3, m1=2, m2=2) -> FactoredModel:
+def random_factored(rng, n1=2, nz=1, n_levels=3, m1=2, m2=2) -> FactoredModel:
     p_low = rng.random((n1, m1, n1)) + 0.05
     p_low /= p_low.sum(axis=2, keepdims=True)
-    p_high = rng.random((n1, n2, m2, n2)) + 0.05
-    p_high /= p_high.sum(axis=3, keepdims=True)
+    p_type = rng.random((nz, nz)) + 0.05
+    p_type /= p_type.sum(axis=1, keepdims=True)
+    p_buffer = rng.random((n1, nz, m2, n_levels, n_levels)) + 0.05
+    p_buffer /= p_buffer.sum(axis=4, keepdims=True)
+    n2 = nz * n_levels
     return FactoredModel(
         p_low=p_low,
-        p_high=p_high,
+        p_type=p_type,
+        p_buffer=p_buffer,
         gain=rng.normal(size=(n1, n2, m2)),
         cost_low=rng.random((n1, m1)),
         cost_high=rng.random((n2, m2)),
         weight_low=float(rng.uniform(0.1, 1.0)),
         weight_high=float(rng.uniform(0.1, 1.0)),
     )
+
+
+def value_iteration_state_major(model, gamma, tol=1e-8, max_iter=200_000):
+    """The state-major (S, A) loop that value_iteration ran before it
+    iterated action-major: the bit-for-bit reference."""
+    r = model.r
+    q = np.zeros(r.shape)
+    n_states, n_actions = r.shape
+    for _ in range(max_iter):
+        v = q.max(axis=1)
+        expected = (model.p.reshape(n_states * n_actions, n_states) @ v).reshape(r.shape)
+        q_next = r + gamma * expected
+        diff = float(np.abs(q_next - q).max())
+        q = q_next
+        if diff <= tol:
+            return q, np.argmax(q, axis=1), q.max(axis=1)
+    raise AssertionError("reference did not converge")
 
 
 def test_state_space_round_trip():
@@ -169,8 +193,9 @@ def test_value_iteration_errors():
     model = random_model(np.random.default_rng(1))
     with pytest.raises(ValueError):
         value_iteration(model, gamma=1.0)
-    with pytest.raises(ValueError):
-        value_iteration(model, gamma=0.9, tol=0.0)
+    for bad_tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            value_iteration(model, gamma=0.9, tol=bad_tol)
     bad = TransitionModel(p=model.p * 2, r=model.r)
     with pytest.raises(ModelError):
         value_iteration(bad, gamma=0.9)
@@ -218,10 +243,11 @@ def test_stationary_policy_validation():
 
 
 def test_factored_model_ops_match_joint():
-    factors = random_factored(np.random.default_rng(4), n1=3, n2=4, m1=2, m2=3)
+    factors = random_factored(np.random.default_rng(4), n1=3, nz=2, n_levels=2, m1=2, m2=3)
     joint = factors.to_joint()
     assert (factors.n_states, factors.n_actions) == (joint.n_states, joint.n_actions) == (12, 6)
     v = np.random.default_rng(5).normal(size=12)
+    assert factors.expected_next(v).shape == (6, 12)
     assert np.abs(factors.expected_next(v) - joint.expected_next(v)).max() <= 1e-14
     policy = np.random.default_rng(6).integers(6, size=12)
     # the policy chain holds the very products that to_joint() stores
@@ -229,47 +255,95 @@ def test_factored_model_ops_match_joint():
     assert np.array_equal(factors.r, joint.r)
 
 
+def test_factored_high_expectation_matches_product():
+    """Each entry of the high-layer expectation is the sum over (z', q') of
+    p_type[z, z'] * p_buffer[i, z, m, q, q'] * v[j, z', q']."""
+    nz, n_levels, n1, m2 = 3, 4, 2, 2
+    factors = random_factored(np.random.default_rng(12), n1=n1, nz=nz, n_levels=n_levels, m2=m2)
+    v = np.random.default_rng(13).normal(size=(n1, nz, n_levels))
+    high = factors.high_expectation(v.ravel())
+    assert high.shape == (n1, nz, m2, n_levels, n1)
+    ref = np.einsum("zy,izmqp,jyp->izmqj", factors.p_type, factors.p_buffer, v)
+    assert np.abs(high - ref).max() <= 1e-14
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 3),
-    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 4),
     st.integers(1, 3),
     st.integers(1, 3),
 )
 @settings(max_examples=40, deadline=None)
-def test_factored_solve_matches_dense(seed, n1, n2, m1, m2):
+def test_factored_solve_matches_dense(seed, n1, nz, n_levels, m1, m2):
     """Value iteration and the stationary solve on the factors agree with the
     dense solve of to_joint(): Q* and V* to 1e-12 with the same policy, and
-    the weights bit for bit under that policy."""
-    factors = random_factored(np.random.default_rng(seed), n1, n2, m1, m2)
+    the policy chain and the weights bit for bit under that policy."""
+    factors = random_factored(np.random.default_rng(seed), n1, nz, n_levels, m1, m2)
     joint = factors.to_joint()
-    q_f, pol_f, v_f = value_iteration(factors, gamma=0.9, tol=1e-10)
-    q_d, pol_d, v_d = value_iteration(joint, gamma=0.9, tol=1e-10)
+    v = np.random.default_rng(seed + 1).normal(size=factors.n_states)
+    assert np.abs(factors.expected_next(v) - joint.expected_next(v)).max() <= 1e-14
+    # tol well under 1e-12: where the two solves stop one backup apart, their
+    # Q differs by up to gamma * tol
+    q_f, pol_f, v_f = value_iteration(factors, gamma=0.9, tol=1e-13)
+    q_d, pol_d, v_d = value_iteration(joint, gamma=0.9, tol=1e-13)
     assert np.abs(q_f - q_d).max() <= 1e-12
     assert np.abs(v_f - v_d).max() <= 1e-12
     assert np.array_equal(pol_f, pol_d)
+    assert np.array_equal(factors.policy_chain(pol_f), joint.policy_chain(pol_d))
     w_f = stationary_distribution(factors, pol_f)
     w_d = stationary_distribution(joint, pol_d)
     assert np.array_equal(w_f, w_d)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5), st.floats(0.0, 0.95))
+@settings(max_examples=40, deadline=None)
+def test_action_major_value_iteration_matches_state_major(seed, n_states, n_actions, gamma):
+    """On a dense model, action-major value iteration returns bit for bit
+    what the state-major loop returns, policy ties included."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states, n_actions)
+    model.r = np.round(model.r, 1)  # coarse rewards make tied actions likely
+    got = value_iteration(model, gamma, tol=1e-9)
+    ref = value_iteration_state_major(model, gamma, tol=1e-9)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    assert got[0].flags.c_contiguous
+
+
+def test_solvers_log_iterations_and_residual(caplog):
+    model = random_model(np.random.default_rng(2))
+    with caplog.at_level(logging.INFO, logger="layerq"):
+        _, policy, _ = value_iteration(model, gamma=0.9, tol=1e-8)
+        stationary_distribution(model, policy)
+    messages = [record.getMessage() for record in caplog.records]
+    assert any(re.fullmatch(r"value iteration: \d+ iterations, residual \S+", m) for m in messages)
+    assert any(
+        re.fullmatch(r"stationary distribution: \d+ iterations, residual \S+", m) for m in messages
+    )
+
+
 def test_factored_model_validation():
-    factors = random_factored(np.random.default_rng(8))
-    factors.validate()
-    bad_rows = random_factored(np.random.default_rng(8))
-    bad_rows.p_high = bad_rows.p_high * 1.01
-    bad_low = random_factored(np.random.default_rng(8))
-    bad_low.p_low = bad_low.p_low.copy()
-    bad_low.p_low[0, 0] = [1.5, -0.5]
-    bad_shape = random_factored(np.random.default_rng(8))
-    bad_shape.cost_high = bad_shape.cost_high[:, :1]
-    bad_high = random_factored(np.random.default_rng(8))
-    bad_high.p_high = bad_high.p_high[:, :, :, :2]
+    def broken(**changes):
+        model = random_factored(np.random.default_rng(8), nz=2)
+        for name, value in changes.items():
+            setattr(model, name, value)
+        return model
+
+    base = random_factored(np.random.default_rng(8), nz=2)
+    base.validate()
+    bad_low = base.p_low.copy()
+    bad_low[0, 0] = [1.5, -0.5]
     for model, match in (
-        (bad_rows, "p_high rows deviate"),
-        (bad_low, "negative probability in p_low"),
-        (bad_shape, "cost_high shape"),
-        (bad_high, "p_high must be"),
+        (broken(p_buffer=base.p_buffer * 1.01), "p_buffer rows deviate"),
+        (broken(p_type=base.p_type * 1.01), "p_type rows deviate"),
+        (broken(p_low=bad_low), "negative probability in p_low"),
+        (broken(cost_high=base.cost_high[:, :1]), "cost_high shape"),
+        (broken(gain=base.gain[:, :3]), "gain shape"),
+        (broken(p_buffer=base.p_buffer[..., :2]), "p_buffer must be"),
+        (broken(p_buffer=base.p_buffer[:, :1]), "p_buffer must be"),
+        (broken(p_type=base.p_type[:, :1]), "p_type must be"),
     ):
         with pytest.raises(ModelError, match=match):
             model.validate()

@@ -22,6 +22,7 @@ from layerq import (
     synth_stationary,
     utility_gain,
 )
+from layerq.system import _buffer_factors
 
 
 def make_sample(unit_type="P", bits=(60.0, 75.0, 90.0), dist=(10.0, 12.0, 13.5), cycles=(45e6, 14e6, 7e6)):
@@ -309,6 +310,49 @@ def test_factored_model_matches_joint():
     rebuilt = assemble_factored_model(cfg, dyn).to_joint()
     assert np.abs(rebuilt.p - joint.p).max() <= 1e-12
     assert np.abs(rebuilt.r - joint.r).max() <= 1e-12
+
+
+def buffer_factor_per_cell(pmf, capacity):
+    """The per-cell loop the vectorized buffer factors replace: the reference."""
+    n_levels = capacity + 1
+    counts = np.arange(len(pmf))
+    factor = np.zeros((n_levels, n_levels))
+    for q in range(n_levels):
+        np.add.at(factor[q], np.clip(q + counts - 1, 0, capacity), pmf)
+    return factor
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 20),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+)
+@settings(max_examples=40, deadline=None)
+def test_buffer_factors_match_per_cell_loop(seed, capacity, n_counts, cells):
+    """All cells' buffer factors in one pass equal the per-cell loop bit for
+    bit, for pmfs both shorter and longer than the buffer."""
+    rng = np.random.default_rng(seed)
+    pmf = rng.random(cells + (n_counts,)) * (rng.random(cells + (n_counts,)) < 0.7)
+    pmf[..., 0] += 1e-3
+    pmf /= pmf.sum(axis=-1, keepdims=True)
+    factors = _buffer_factors(pmf, capacity)
+    assert factors.shape == cells + (capacity + 1, capacity + 1)
+    for cell in np.ndindex(cells):
+        assert np.array_equal(factors[cell], buffer_factor_per_cell(pmf[cell], capacity))
+
+
+def test_factored_model_holds_the_three_factors():
+    cfg = small_config()
+    dyn = small_dynamics()
+    factors = assemble_factored_model(cfg, dyn)
+    assert np.array_equal(factors.p_type, cfg.type_matrix())
+    nf, nz, nh, _ = dyn.arrival_pmf.shape
+    assert factors.p_buffer.shape == (nf, nz, nh, cfg.capacity + 1, cfg.capacity + 1)
+    for cell in np.ndindex(nf, nz, nh):
+        assert np.array_equal(
+            factors.p_buffer[cell], buffer_factor_per_cell(dyn.arrival_pmf[cell], cfg.capacity)
+        )
 
 
 def test_system_config_validation():
