@@ -34,7 +34,7 @@ def main() -> None:
         overflow = sum(r.stats.total_overflow for r in res.runs)
         mean = sum(rewards) / len(rewards)
         print(f"{res.config.label:>14} {mean:>12.4f} {overflow:>10} "
-              f"{res.runs[0].learner.message_log.per_slot:>10}")
+              f"{len(res.runs[0].learner.message_labels):>10}")
     print("\nnote: the layered learner trails at this short horizon; its"
           "\naverage reward converges to the centralized learner's by ~200k slots.")
     print(f"artifacts in {OUT}")

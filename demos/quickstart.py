@@ -30,7 +30,7 @@ def main() -> None:
 
     stats = RunStats(horizon=HORIZON)
     for _ in range(HORIZON):
-        stats.log_slot(learner.step(sim))
+        stats.log_slot(sim, learner.step(sim))
 
     print(f"ran {HORIZON} slots on the default system "
           f"({len(cfg.frequencies)} frequencies x {len(cfg.configs)} encoder configs)")

@@ -28,8 +28,8 @@ def main() -> None:
           f"{len(system.frequencies) * len(system.unit_types) * (system.capacity + 1)} states...")
     oracle = compute_oracle(cfg)
 
-    n_types = len(system.unit_types)
-    n_levels = system.capacity + 1
+    states = system.state_space()
+    n_levels = states.n_levels
     n_configs = len(system.configs)
     print("\nfrequency command (MHz) vs occupancy, current frequency 600 MHz:")
     header = "  q:      " + " ".join(f"{q:>4}" for q in range(0, n_levels, 5))
@@ -37,7 +37,7 @@ def main() -> None:
     for zi, z in enumerate(system.unit_types):
         row = []
         for q in range(0, n_levels, 5):
-            s = (2 * n_types + zi) * n_levels + q  # frequency index 2 = 600 MHz
+            s = states.index(2, zi, q)  # frequency index 2 = 600 MHz
             u = int(oracle.policy[s]) // n_configs
             row.append(f"{system.frequencies[u] / 1e6:>4.0f}")
         print(f"  type {z}: " + " ".join(row))

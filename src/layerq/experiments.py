@@ -463,7 +463,7 @@ def run_single(cfg: ExperimentConfig, seed: int, oracle: OracleResult | None = N
     learner = make_learner(cfg, rng, oracle)
     stats = RunStats(cfg.run.horizon, cfg.run.checkpoint_interval)
     for _ in range(cfg.run.horizon):
-        stats.log_slot(learner.step(sim))
+        stats.log_slot(sim, learner.step(sim))
         stats.maybe_checkpoint(learner)
     logger.info(
         "run %s seed %d: mean reward %.4f, %d overflows",
@@ -516,7 +516,7 @@ def _summary_row(cfg: ExperimentConfig, result: RunResult, oracle: OracleResult 
         s["mean_arrivals"],
         s["total_overflow"],
         s["overflow_rate"],
-        result.learner.message_log.per_slot,
+        len(result.learner.message_labels),
         final_error,
     ]
 
@@ -560,8 +560,7 @@ def write_slots_csv(path, stats: RunStats) -> None:
 def write_oracle_csv(oracle: OracleResult, system: SystemConfig, out_dir) -> list[str]:
     """Emit policy, values, and stationary weights as CSVs."""
     out = Path(out_dir)
-    n_types = len(system.unit_types)
-    n_levels = system.capacity + 1
+    states = system.state_space()
     n_configs = len(system.configs)
     files = []
     path = out / "policy.csv"
@@ -569,8 +568,7 @@ def write_oracle_csv(oracle: OracleResult, system: SystemConfig, out_dir) -> lis
         writer = csv.writer(fh)
         writer.writerow(("s", "f", "z", "q", "u", "h"))
         for s in range(len(oracle.policy)):
-            fi, rest = divmod(s, n_types * n_levels)
-            zi, q = divmod(rest, n_levels)
+            fi, zi, q = states.components(s)
             u, h = divmod(int(oracle.policy[s]), n_configs)
             writer.writerow((s, fi, zi, q, u, h))
     files.append(str(path))

@@ -2,16 +2,18 @@
 virtual-experience and eligibility-trace acceleration, and the myopic
 deadline-driven baseline.
 
-Every learner exposes step(sim) -> SlotRecord (advancing the simulator by one
-slot), state_values() for error curves, and a MessageLog accounting the
-inter-layer traffic its deployment would need.
+Every learner exposes step(sim), which advances the simulator by one slot
+and returns the slot's TD error (0.0 for the controllers), state_values() for
+error curves, and message_labels, the inter-layer messages its deployment
+would exchange per slot. A learner reads the slot's outcome from the
+simulator's attributes after `sim.slot(u, h)`.
 """
 
 from __future__ import annotations
 
 import bisect
 import warnings
-from collections import OrderedDict, deque, namedtuple
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +34,6 @@ from .system import ExperienceTuple, Simulator, SystemConfig, buffer_step, utili
 class PolicyError(ValueError):
     """A fixed policy is missing or out of range for some state."""
 
-
-SlotRecord = namedtuple("SlotRecord", ["et", "overflow", "delta"])
 
 # Inter-layer traffic per slot when the optimizer runs as a middleware box.
 CENTRALIZED_MESSAGES = (
@@ -58,27 +58,8 @@ LAYERED_MESSAGES = (
 )
 
 
-class MessageLog:
-    """Counts slots; the per-slot message set is fixed per algorithm."""
-
-    def __init__(self, labels: tuple[str, ...]):
-        self.labels = labels
-        self.slots = 0
-
-    def record_slot(self) -> None:
-        self.slots += 1
-
-    @property
-    def per_slot(self) -> int:
-        return len(self.labels)
-
-    @property
-    def total(self) -> int:
-        return self.slots * len(self.labels)
-
-
 class CentralizedQLearner:
-    """One dense Q(s, a) table updated from the actual experience tuple."""
+    """One dense Q(s, a) table updated from the actual slot."""
 
     message_labels = CENTRALIZED_MESSAGES
 
@@ -86,8 +67,6 @@ class CentralizedQLearner:
         self.cfg = cfg
         self.schedule = schedule
         self.rng = rng
-        self._n_types = len(cfg.unit_types)
-        self._n_levels = cfg.capacity + 1
         self._n_configs = len(cfg.configs)
         n_states = cfg.state_space().n_states
         n_actions = cfg.action_space().n_actions
@@ -95,29 +74,22 @@ class CentralizedQLearner:
         self.visits = np.zeros((n_states, n_actions), dtype=np.int64)
         self.alphas = LazyTable(schedule.alpha_at)
         self.slot = 0
-        self.message_log = MessageLog(self.message_labels)
-
-    def _state_index(self, state: tuple[int, int, int]) -> int:
-        fi, zi, q = state
-        return (fi * self._n_types + zi) * self._n_levels + q
 
     def select(self, s: int) -> int:
         return epsilon_greedy(self.q[s], self.schedule.epsilon_at(self.slot), self.rng)
 
-    def step(self, sim: Simulator) -> SlotRecord:
-        s = sim.state_index()
+    def step(self, sim: Simulator) -> float:
+        s = sim.s
         a = self.select(s)
         command_idx, config_idx = divmod(a, self._n_configs)
-        et, overflow = sim.slot(command_idx, config_idx)
-        delta = self._update(s, a, et)
-        self.message_log.record_slot()
+        s_next = sim.slot(command_idx, config_idx)
+        delta = self._update(s, a, s_next, sim)
         self.slot += 1
-        return SlotRecord(et, overflow, delta)
+        return delta
 
-    def _update(self, s: int, a: int, et: ExperienceTuple) -> float:
-        s_next = self._state_index(et.next_state)
+    def _update(self, s: int, a: int, s_next: int, sim: Simulator) -> float:
         count = self.visits.item(s, a)
-        delta = q_update(self.q, s, a, et.reward, s_next, self.alphas[count], self.schedule.gamma)
+        delta = q_update(self.q, s, a, sim.reward, s_next, self.alphas[count], self.schedule.gamma)
         self.visits[s, a] = count + 1
         return delta
 
@@ -135,34 +107,32 @@ class LayeredQTables:
 
 def layered_update(
     tables: LayeredQTables,
-    et: ExperienceTuple,
+    s: int,
+    a1: int,
+    a2: int,
+    sim: Simulator,
     alpha_os: float,
     alpha_app: float,
     gamma: float,
     power_weight: float,
     rd_weight: float,
-    n_types: int,
-    n_levels: int,
 ):
-    """Both layers' updates for one slot, in protocol order.
+    """Both layers' updates for the slot that state s and action (a1, a2)
+    just ran on `sim` (or any object with its s, freq_idx, gain, j1 and j2),
+    in protocol order.
 
     The OS side forwards V(s') = max q_os[s']; the APP side updates its inner
     cell at the realized next frequency and forwards the updated scalar, which
     the OS side then uses as its target. Exactly one cell of each table
     changes. Returns (delta_app, delta_os).
     """
-    fi, zi, q = et.state
-    s = (fi * n_types + zi) * n_levels + q
-    fi_next, zi_next, q_next = et.next_state
-    s_next = (fi_next * n_types + zi_next) * n_levels + q_next
-    a1, a2 = et.action
-
-    v_next = max(tables.q_os[s_next].ravel().tolist())
+    fi_next = sim.freq_idx
+    v_next = max(tables.q_os[sim.s].ravel().tolist())
     q1 = tables.q_app.item(s, a2, fi_next)
-    delta_app = (et.gain - rd_weight * et.cost_app + gamma * v_next) - q1
+    delta_app = (sim.gain - rd_weight * sim.j2 + gamma * v_next) - q1
     q1_updated = tables.q_app[s, a2, fi_next] = q1 + alpha_app * delta_app
     q_os = tables.q_os.item(s, a1, a2)
-    delta_os = (-power_weight * et.cost_os + q1_updated) - q_os
+    delta_os = (-power_weight * sim.j1 + q1_updated) - q_os
     tables.q_os[s, a1, a2] = q_os + alpha_os * delta_os
     return float(delta_app), float(delta_os)
 
@@ -180,8 +150,6 @@ class LayeredQLearner:
         self.cfg = cfg
         self.schedule = schedule
         self.rng = rng
-        self._n_types = len(cfg.unit_types)
-        self._n_levels = cfg.capacity + 1
         self._n_configs = len(cfg.configs)
         self._n_freqs = len(cfg.frequencies)
         n_states = cfg.state_space().n_states
@@ -193,35 +161,34 @@ class LayeredQLearner:
         self.visits_os = np.zeros(self.tables.q_os.shape, dtype=np.int64)
         self.alphas = LazyTable(schedule.alpha_at)
         self.slot = 0
-        self.message_log = MessageLog(self.message_labels)
 
-    def step(self, sim: Simulator) -> SlotRecord:
-        s = sim.state_index()
+    def step(self, sim: Simulator) -> float:
+        s = sim.s
         eps = self.schedule.epsilon_at(self.slot)
         # each layer picks a cell of its grid and acts on the cell's row
         config_idx = epsilon_greedy(self.tables.q_app[s].ravel(), eps, self.rng) // self._n_freqs
         command_idx = epsilon_greedy(self.tables.q_os[s].ravel(), eps, self.rng) // self._n_configs
-        et, overflow = sim.slot(command_idx, config_idx)
+        sim.slot(command_idx, config_idx)
 
-        freq_next = et.next_state[0]
+        freq_next = sim.freq_idx
         count_app = self.visits_app.item(s, config_idx, freq_next)
         count_os = self.visits_os.item(s, command_idx, config_idx)
         _, delta_os = layered_update(
             self.tables,
-            et,
+            s,
+            command_idx,
+            config_idx,
+            sim,
             self.alphas[count_os],
             self.alphas[count_app],
             self.schedule.gamma,
             self.cfg.power_weight,
             self.cfg.rd_weight,
-            self._n_types,
-            self._n_levels,
         )
         self.visits_app[s, config_idx, freq_next] = count_app + 1
         self.visits_os[s, command_idx, config_idx] = count_os + 1
-        self.message_log.record_slot()
         self.slot += 1
-        return SlotRecord(et, overflow, delta_os)
+        return delta_os
 
     def state_values(self) -> np.ndarray:
         n_states = self.tables.q_os.shape[0]
@@ -251,8 +218,6 @@ class BestResponseLearner:
         self.schedule = schedule
         self.rng = rng
         self.layer = layer
-        self._n_types = len(cfg.unit_types)
-        self._n_levels = cfg.capacity + 1
         n_states = cfg.state_space().n_states
         n_own = len(cfg.configs) if layer == "app" else len(cfg.frequencies)
         n_other = len(cfg.frequencies) if layer == "app" else len(cfg.configs)
@@ -266,24 +231,20 @@ class BestResponseLearner:
         self.visits = np.zeros((n_states, n_own), dtype=np.int64)
         self.alphas = LazyTable(schedule.alpha_at)
         self.slot = 0
-        self.message_log = MessageLog(self.message_labels)
 
-    def step(self, sim: Simulator) -> SlotRecord:
-        s = sim.state_index()
+    def step(self, sim: Simulator) -> float:
+        s = sim.s
         a_own = epsilon_greedy(self.q[s], self.schedule.epsilon_at(self.slot), self.rng)
-        a_other = int(self.fixed_policy[s])
+        a_other = self.fixed_policy.item(s)
         if self.layer == "app":
-            et, overflow = sim.slot(a_other, a_own)
+            s_next = sim.slot(a_other, a_own)
         else:
-            et, overflow = sim.slot(a_own, a_other)
-        fi, zi, q = et.next_state
-        s_next = (fi * self._n_types + zi) * self._n_levels + q
+            s_next = sim.slot(a_own, a_other)
         count = self.visits.item(s, a_own)
-        delta = q_update(self.q, s, a_own, et.reward, s_next, self.alphas[count], self.schedule.gamma)
+        delta = q_update(self.q, s, a_own, sim.reward, s_next, self.alphas[count], self.schedule.gamma)
         self.visits[s, a_own] = count + 1
-        self.message_log.record_slot()
         self.slot += 1
-        return SlotRecord(et, overflow, delta)
+        return delta
 
     def state_values(self) -> np.ndarray:
         return self.q.max(axis=1)
@@ -391,13 +352,13 @@ class VirtualExperienceLearner(CentralizedQLearner):
             psi = cfg.capacity
         self.psi = psi
 
-    def _update(self, s: int, a: int, et: ExperienceTuple) -> float:
-        delta = super()._update(s, a, et)
+    def _update(self, s: int, a: int, s_next: int, sim: Simulator) -> float:
+        delta = super()._update(s, a, s_next, sim)
         if self.psi > 0:
-            self._virtual_updates(a, et)
+            self._virtual_updates(s, a, s_next, sim)
         return delta
 
-    def _virtual_updates(self, a: int, et: ExperienceTuple) -> None:
+    def _virtual_updates(self, s: int, a: int, s_next: int, sim: Simulator) -> None:
         # Inline equivalent of virtual_et_expand + virtual_et_update for the
         # selected levels only; tests pin the equivalence bit for bit. The
         # backups of one slot write only column a of the (f, z) block and read
@@ -407,18 +368,17 @@ class VirtualExperienceLearner(CentralizedQLearner):
         # blocks coincide, next_col is col and later backups see earlier ones.
         # raw is buffer_step's unclamped level; the gains are utility_gain's.
         cfg = self.cfg
-        fi, zi, q_actual = et.state
-        fi2, zi2, _ = et.next_state
-        n_levels = self._n_levels
-        base = (fi * self._n_types + zi) * n_levels
-        base_next = (fi2 * self._n_types + zi2) * n_levels
+        q_actual = sim.q
+        base = s - q_actual
+        base_next = s_next - sim.occupancy
         cap = cfg.capacity
+        n_levels = cap + 1
         proposed = cfg.gain_mode == "proposed"
         gamma = self.schedule.gamma
         alphas = self.alphas
-        shift = et.arrivals - 1
-        j_os = cfg.power_weight * et.cost_os
-        j_app = cfg.rd_weight * et.cost_app
+        shift = sim.arrivals - 1
+        j_os = cfg.power_weight * sim.j1
+        j_app = cfg.rd_weight * sim.j2
         block = slice(base, base + n_levels)
         col = self.q[block, a].tolist()
         counts = self.visits[block, a].tolist()
@@ -441,7 +401,11 @@ class VirtualExperienceLearner(CentralizedQLearner):
 
 @dataclass
 class EligibilityState:
-    """Replacing traces with lazy decay: e = decay^(slots since last visit)."""
+    """Replacing traces with lazy decay: e = decay^(slots since last visit).
+
+    Traces are keyed by any hashable pair id; td_lambda_step uses the flat
+    table cell s * n_actions + a.
+    """
 
     decay: float
     slot: int = 0
@@ -485,38 +449,34 @@ def td_lambda_step(
     q: np.ndarray,
     visits: np.ndarray,
     elig: EligibilityState,
-    et: ExperienceTuple,
+    s: int,
+    a: int,
+    sim: Simulator,
     psi: int,
     schedule: LearningSchedule,
-    n_types: int,
-    n_levels: int,
-    n_configs: int,
-    alphas: LazyTable | None = None,
+    alphas: LazyTable,
 ) -> float:
-    """One trace-weighted sweep: full backup on the actual pair, then the
-    current TD error applied as alpha * delta * e to the psi most eligible
-    other pairs. Replacing traces decay by the same factor per slot, so the
-    most eligible pairs are exactly the most recently visited ones. Visit
-    counts advance only for the actual pair. Advances elig by one slot.
-    The nudged pairs are distinct, so one gather-add-scatter applies them.
-    `alphas` is the caller's alpha table (a fresh one when None)."""
-    if alphas is None:
-        alphas = LazyTable(schedule.alpha_at)
-    fi, zi, lv = et.state
-    s = (fi * n_types + zi) * n_levels + lv
-    fi2, zi2, q2 = et.next_state
-    s_next = (fi2 * n_types + zi2) * n_levels + q2
-    a = et.action[0] * n_configs + et.action[1]
+    """One trace-weighted sweep for the slot that pair (s, a) just ran on
+    `sim` (or any object with its s and reward): full backup on the actual
+    pair, then the current TD error applied as alpha * delta * e to the psi
+    most eligible other pairs. Replacing traces decay by the same factor per
+    slot, so the most eligible pairs are exactly the most recently visited
+    ones. Visit counts advance only for the actual pair. Advances elig by one
+    slot. Traces are keyed by the flat cell s * n_actions + a; the nudged cells
+    are distinct, so one gather-add-scatter on the flat tables applies them.
+    q must be C-contiguous, as the learners allocate it, so that its flat
+    reshape is a view the scatter writes through. `alphas` is the caller's
+    alpha table."""
     count = visits.item(s, a)
-    delta = q_update(q, s, a, et.reward, s_next, alphas[count], schedule.gamma)
+    delta = q_update(q, s, a, sim.reward, sim.s, alphas[count], schedule.gamma)
     visits[s, a] = count + 1
-    pairs = elig.top_pairs(psi, exclude=(s, a)) if psi > 0 and elig.decay > 0.0 else None
-    if pairs:
-        cells = tuple(np.array(pairs).T)
-        rates = [alphas[k] * delta for k in visits[cells].tolist()]
-        traces = [elig.powers[elig.slot - elig.last_visit[pair]] for pair in pairs]
-        q[cells] += np.multiply(rates, traces)
-    elig.refresh((s, a))
+    cell = s * q.shape[1] + a
+    cells = elig.top_pairs(psi, exclude=cell) if psi > 0 and elig.decay > 0.0 else None
+    if cells:
+        rates = [alphas[k] * delta for k in visits.reshape(-1)[cells].tolist()]
+        traces = [elig.powers[elig.slot - elig.last_visit[c]] for c in cells]
+        q.reshape(-1)[cells] += np.multiply(rates, traces)
+    elig.refresh(cell)
     elig.prune()
     elig.slot += 1
     return delta
@@ -543,18 +503,9 @@ class TdLambdaLearner(CentralizedQLearner):
         self.psi = psi
         self.elig = EligibilityState(decay=schedule.gamma * lam)
 
-    def _update(self, s: int, a: int, et: ExperienceTuple) -> float:
+    def _update(self, s: int, a: int, s_next: int, sim: Simulator) -> float:
         return td_lambda_step(
-            self.q,
-            self.visits,
-            self.elig,
-            et,
-            self.psi,
-            self.schedule,
-            self._n_types,
-            self._n_levels,
-            self._n_configs,
-            self.alphas,
+            self.q, self.visits, self.elig, s, a, sim, self.psi, self.schedule, self.alphas
         )
 
 
@@ -620,7 +571,6 @@ class GraceController:
         self._rd_count = np.zeros((nz, nh), dtype=np.int64)
         self._deadline = 1.0 / cfg.arrival_rate
         self.slot = 0
-        self.message_log = MessageLog(self.message_labels)
 
     def _pick_frequency(self) -> int:
         if not self.gstate.window:
@@ -640,21 +590,21 @@ class GraceController:
                 best, best_cost = h, cost
         return best
 
-    def step(self, sim: Simulator) -> SlotRecord:
+    def step(self, sim: Simulator) -> float:
         type_idx = sim.type_idx
         config_idx = self._pick_config(type_idx)
         command_idx = self._pick_frequency()
-        et, overflow = sim.slot(command_idx, config_idx)
-        self.gstate.push(float(sim.last_sample.cycles[config_idx]))
+        sim.slot(command_idx, config_idx)
+        self.gstate.push(sim.cycles)
         p95 = self.gstate.percentile_95()
         if self.gstate.estimate == 0.0:
             self.gstate.estimate = p95  # seed the average with the first window
         else:
             self.gstate.estimate = self.smoothing * self.gstate.estimate + (1 - self.smoothing) * p95
-        self._rd_sum[type_idx, config_idx] += et.cost_app
+        self._rd_sum[type_idx, config_idx] += sim.j2
         self._rd_count[type_idx, config_idx] += 1
         self.slot += 1
-        return SlotRecord(et, overflow, 0.0)
+        return 0.0
 
     def state_values(self):
         return None
@@ -677,14 +627,12 @@ class FixedPolicyController:
         self.values = values
         self._n_configs = len(cfg.configs)
         self.slot = 0
-        self.message_log = MessageLog(self.message_labels)
 
-    def step(self, sim: Simulator) -> SlotRecord:
-        a = int(self.policy[sim.state_index()])
-        command_idx, config_idx = divmod(a, self._n_configs)
-        et, overflow = sim.slot(command_idx, config_idx)
+    def step(self, sim: Simulator) -> float:
+        command_idx, config_idx = divmod(self.policy.item(sim.s), self._n_configs)
+        sim.slot(command_idx, config_idx)
         self.slot += 1
-        return SlotRecord(et, overflow, 0.0)
+        return 0.0
 
     def state_values(self):
         return self.values

@@ -373,6 +373,8 @@ def stationary_distribution(
     ||mu P - mu||_1 <= tol holds for the damped chain on return (the residual
     is non-increasing along power iterations).
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     model.validate()
     n = model.n_states
     if len(policy) != n or np.any(policy < 0) or np.any(policy >= model.n_actions):

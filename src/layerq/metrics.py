@@ -57,26 +57,29 @@ class RunStats:
     def slots(self) -> int:
         return self._n
 
-    def log_slot(self, record) -> None:
+    def log_slot(self, sim, delta: float) -> None:
+        """Record the slot that `sim` (a Simulator) just ran and its TD error."""
         i = self._n
         if i >= self.horizon:
             raise ValueError(f"run exceeds the declared horizon of {self.horizon} slots")
-        et = record.et
-        self.reward[i] = et.reward
-        self.gain[i] = et.gain
-        self.cost_os[i] = et.cost_os
-        self.cost_app[i] = et.cost_app
-        self.delta[i] = record.delta
-        self.arrivals[i] = et.arrivals
-        self.overflow[i] = record.overflow
-        self.freq[i], self.unit_type[i], self.occupancy[i] = et.state
-        self.command[i], self.config[i] = et.action
-        self._sum_reward += et.reward
-        self._sum_gain += et.gain
-        self._sum_cost_os += et.cost_os
-        self._sum_cost_app += et.cost_app
-        self._sum_arrivals += et.arrivals
-        self._sum_overflow += record.overflow
+        self.reward[i] = reward = sim.reward
+        self.gain[i] = gain = sim.gain
+        self.cost_os[i] = j1 = sim.j1
+        self.cost_app[i] = j2 = sim.j2
+        self.delta[i] = delta
+        self.arrivals[i] = arrivals = sim.arrivals
+        self.overflow[i] = overflow = sim.overflow
+        self.freq[i] = sim.f
+        self.unit_type[i] = sim.z
+        self.occupancy[i] = sim.q
+        self.command[i] = sim.u
+        self.config[i] = sim.h
+        self._sum_reward += reward
+        self._sum_gain += gain
+        self._sum_cost_os += j1
+        self._sum_cost_app += j2
+        self._sum_arrivals += arrivals
+        self._sum_overflow += overflow
         self._n = i + 1
 
     def maybe_checkpoint(self, learner) -> None:

@@ -166,7 +166,8 @@ class StageOutcome:
 
 @dataclass(slots=True)
 class ExperienceTuple:
-    """Index-level slot record used by the learners.
+    """Index-level record of one slot, the input of the virtual-experience
+    reference (virtual_et_expand, virtual_et_update).
 
     state/next_state are (freq_idx, type_idx, occupancy); action is
     (command_idx, config_idx). arrivals is the realized floor(t * eta), kept
@@ -283,7 +284,11 @@ class Simulator:
     Owns the current state and the per-slot randomness; trace samples come
     from `source.draw(type_idx)`. Starts at the lowest frequency, the first
     unit type, and the configured initial occupancy, so runs are reproducible
-    given the rng seed.
+    given the rng seed. The current state is `s`, its dense index, with its
+    components `freq_idx`, `type_idx` and `occupancy`. After each slot the
+    simulator also holds that slot's outcome as plain attributes: its start
+    components (f, z, q), its action (u, h), `arrivals`, `overflow`, `cycles`,
+    `reward`, `gain`, and the costs `j1` (power) and `j2` (rate-distortion).
     """
 
     def __init__(self, cfg: SystemConfig, source, rng: np.random.Generator):
@@ -305,33 +310,28 @@ class Simulator:
         self.freq_idx = 0
         self.type_idx = 0
         self.occupancy = cfg.initial_occupancy
-        self.last_sample = None
+        self.s = cfg.initial_occupancy  # the index of (0, 0, initial_occupancy)
 
-    def state_index(self) -> int:
-        return (self.freq_idx * self._n_types + self.type_idx) * self._n_levels + self.occupancy
-
-    def state(self) -> tuple[int, int, int]:
-        return self.freq_idx, self.type_idx, self.occupancy
-
-    def slot(self, command_idx: int, config_idx: int) -> tuple[ExperienceTuple, int]:
-        """Run one slot under the given action; returns (tuple, overflow count)."""
-        fi = self.freq_idx
-        zi = self.type_idx
-        q = self.occupancy
+    def slot(self, command_idx: int, config_idx: int) -> int:
+        """Run one slot under the given action; returns the next state index."""
+        self.f = fi = self.freq_idx
+        self.z = zi = self.type_idx
+        self.q = q = self.occupancy
+        self.u = command_idx
+        self.h = config_idx
         rng = self.rng
 
         sample = self.source.draw(zi)
-        self.last_sample = sample
-        cycles = float(sample.cycles[config_idx])
+        self.cycles = cycles = float(sample.cycles[config_idx])
         delay = cycles / self._freqs[fi]
-        arrivals = int(delay * self._eta)
-        j_os = self._power[fi]
-        j_app = float(sample.distortion[config_idx]) + self._rd_lambda * float(
+        self.arrivals = arrivals = int(delay * self._eta)
+        self.j1 = j_os = self._power[fi]
+        self.j2 = j_app = float(sample.distortion[config_idx]) + self._rd_lambda * float(
             sample.bits[config_idx]
         )
-        occupancy_next, overflow = buffer_step(q, arrivals, self._cap)
-        gain = utility_gain(q, arrivals, self._cap, self._mode)
-        reward = gain - self._w_os * j_os - self._w_app * j_app
+        occupancy_next, self.overflow = buffer_step(q, arrivals, self._cap)
+        self.gain = gain = utility_gain(q, arrivals, self._cap, self._mode)
+        self.reward = gain - self._w_os * j_os - self._w_app * j_app
 
         freq_next = command_idx if rng.random() < self._beta else fi
         row = self._type_cum[zi]
@@ -341,20 +341,11 @@ class Simulator:
         while type_next < last and draw >= row[type_next]:
             type_next += 1
 
-        et = ExperienceTuple(
-            state=(fi, zi, q),
-            action=(command_idx, config_idx),
-            reward=reward,
-            next_state=(freq_next, type_next, occupancy_next),
-            arrivals=arrivals,
-            gain=gain,
-            cost_os=j_os,
-            cost_app=j_app,
-        )
         self.freq_idx = freq_next
         self.type_idx = type_next
         self.occupancy = occupancy_next
-        return et, overflow
+        self.s = s_next = (freq_next * self._n_types + type_next) * self._n_levels + occupancy_next
+        return s_next
 
 
 @dataclass

@@ -12,7 +12,7 @@ from statistics import median
 import numpy as np
 import pytest
 
-from conftest import FakeRng, small_dynamics
+from conftest import FakeRng, slot_tuple, small_dynamics
 from layerq import (
     EmpiricalDynamics,
     FactoredModel,
@@ -243,8 +243,8 @@ def test_virtual_tuples_match_forced_steps():
     sim = Simulator(cfg, source, rng)
     ets = []
     for _ in range(10_000):
-        et, _ = sim.slot(int(rng.integers(5)), int(rng.integers(3)))
-        ets.append(et)
+        sim.slot(int(rng.integers(5)), int(rng.integers(3)))
+        ets.append(slot_tuple(sim))
 
     type_cum = [np.cumsum(row) for row in cfg.type_transition]
     checked = 0

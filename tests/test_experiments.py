@@ -604,7 +604,7 @@ def test_cli_runtime_error(tmp_path, capsys):
 
 
 def test_cli_non_finite_q_exits_2(tmp_path, capsys, monkeypatch):
-    def poisoned_update(self, s, a, et):
+    def poisoned_update(self, s, a, s_next, sim):
         self.q[s, a] = np.nan
         return 0.0
 

@@ -3,7 +3,9 @@
 Each reference below is a test-local copy of a learner's update as it was
 written on numpy scalars: numpy row maxima and argmax, `alpha_at` called on
 numpy visit counts, and td-lambda's one-pair-at-a-time walk over the
-eligibility OrderedDict. The learners now index alpha and decay tables, take
+eligibility OrderedDict (keyed, like the learner's, by the flat cell
+s * n_actions + a). Each reference computes its own state indices from the
+simulator's components. The learners now index alpha and decay tables, take
 Python maxima of row lists and apply the trace nudges in one scatter; these
 tests pin them to the references bit for bit on Q, visit counts and TD errors.
 
@@ -20,7 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_config, small_sim
+from conftest import slot_tuple, small_config, small_sim
 from layerq import (
     BestResponseLearner,
     CentralizedQLearner,
@@ -85,6 +87,9 @@ class Reference:
         fi, zi, lv = state
         return (fi * self.n_types + zi) * self.n_levels + lv
 
+    def current(self, sim) -> int:
+        return self.index((sim.freq_idx, sim.type_idx, sim.occupancy))
+
     def backup(self, s, a, et) -> float:
         alpha = self.sched.alpha_at(self.visits[s, a])
         delta = ref_q_update(self.q, s, a, et.reward, self.index(et.next_state), alpha, self.sched.gamma)
@@ -92,28 +97,30 @@ class Reference:
         return delta
 
     def centralized(self, sim, slot, rng) -> float:
-        s = sim.state_index()
+        s = self.current(sim)
         a = ref_epsilon_greedy(self.q[s], self.sched.epsilon_at(slot), rng)
-        et, _ = sim.slot(*divmod(a, self.n_configs))
-        return self.backup(s, a, et)
+        sim.slot(*divmod(a, self.n_configs))
+        return self.backup(s, a, slot_tuple(sim))
 
     def best_response(self, sim, slot, rng, layer, policy) -> float:
-        s = sim.state_index()
+        s = self.current(sim)
         a = ref_epsilon_greedy(self.q[s], self.sched.epsilon_at(slot), rng)
         other = int(policy[s])
-        et, _ = sim.slot(other, a) if layer == "app" else sim.slot(a, other)
-        return self.backup(s, a, et)
+        sim.slot(other, a) if layer == "app" else sim.slot(a, other)
+        return self.backup(s, a, slot_tuple(sim))
 
     def td_lambda(self, sim, slot, rng, elig, psi) -> float:
-        s = sim.state_index()
+        s = self.current(sim)
         a = ref_epsilon_greedy(self.q[s], self.sched.epsilon_at(slot), rng)
-        et, _ = sim.slot(*divmod(a, self.n_configs))
-        delta = self.backup(s, a, et)
+        sim.slot(*divmod(a, self.n_configs))
+        delta = self.backup(s, a, slot_tuple(sim))
+        n_actions = self.q.shape[1]
         if psi > 0 and elig.decay > 0.0:
-            for pair in elig.top_pairs(psi, exclude=(s, a)):
-                trace = elig.decay ** (elig.slot - elig.last_visit[pair])
+            for cell in elig.top_pairs(psi, exclude=s * n_actions + a):
+                pair = divmod(cell, n_actions)
+                trace = elig.decay ** (elig.slot - elig.last_visit[cell])
                 self.q[pair] += self.sched.alpha_at(self.visits[pair]) * delta * trace
-        elig.refresh((s, a))
+        elig.refresh(s * n_actions + a)
         elig.prune()
         elig.slot += 1
         return delta
@@ -131,15 +138,16 @@ class LayeredReference:
 
     def step(self, sim, slot, rng) -> float:
         cfg, sched = self.cfg, self.sched
-        s = sim.state_index()
+        n_types, n_levels = len(cfg.unit_types), cfg.capacity + 1
+        s = (sim.freq_idx * n_types + sim.type_idx) * n_levels + sim.occupancy
         eps = sched.epsilon_at(slot)
         config_idx, _ = ref_grid_select(self.q_app[s], eps, rng)
         command_idx, _ = ref_grid_select(self.q_os[s], eps, rng)
-        et, _ = sim.slot(command_idx, config_idx)
+        sim.slot(command_idx, config_idx)
+        et = slot_tuple(sim)
         fi_next = et.next_state[0]
         alpha_app = sched.alpha_at(self.visits_app[s, config_idx, fi_next])
         alpha_os = sched.alpha_at(self.visits_os[s, command_idx, config_idx])
-        n_types, n_levels = len(cfg.unit_types), cfg.capacity + 1
         fi2, zi2, q2 = et.next_state
         s_next = (fi2 * n_types + zi2) * n_levels + q2
         a1, a2 = et.action
@@ -154,7 +162,7 @@ class LayeredReference:
 
 
 def run_learner(learner, sim, n):
-    return [learner.step(sim).delta for _ in range(n)]
+    return [learner.step(sim) for _ in range(n)]
 
 
 # -- the alpha table ------------------------------------------------------

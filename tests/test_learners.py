@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeRng, small_config, small_dynamics, small_params, small_sim
+from conftest import FakeRng, slot_tuple, small_config, small_dynamics, small_params, small_sim
 from layerq import (
     CENTRALIZED_MESSAGES,
     LAYERED_MESSAGES,
@@ -11,7 +13,6 @@ from layerq import (
     CentralizedQLearner,
     EligibilityState,
     EmpiricalDynamics,
-    ExperienceTuple,
     FactoredModel,
     FixedPolicyController,
     GeneratorParams,
@@ -21,8 +22,8 @@ from layerq import (
     GraceState,
     LayeredQLearner,
     LayeredQTables,
+    LazyTable,
     LearningSchedule,
-    MessageLog,
     ModelError,
     PolicyError,
     Simulator,
@@ -47,19 +48,15 @@ from layerq import (
 )
 
 
-def make_et(state=(0, 0, 1), action=(1, 1), reward=0.5, next_state=(1, 1, 2),
-            arrivals=2, gain=0.8, cost_os=0.012, cost_app=11.0) -> ExperienceTuple:
-    return ExperienceTuple(state, action, reward, next_state, arrivals, gain, cost_os, cost_app)
+def fake_slot(s=(1 * 2 + 1) * 6 + 2, freq_idx=1, reward=0.5, gain=0.8, j1=0.012, j2=11.0):
+    """The attributes the update functions read from a simulator after a slot;
+    the default next state (1, 1, 2) has index 20 on the small instance."""
+    return SimpleNamespace(s=s, freq_idx=freq_idx, reward=reward, gain=gain, j1=j1, j2=j2)
 
 
 def test_message_protocols():
     assert len(CENTRALIZED_MESSAGES) == 8
     assert len(LAYERED_MESSAGES) == 7
-    log = MessageLog(LAYERED_MESSAGES)
-    assert log.per_slot == 7 and log.total == 0
-    for _ in range(3):
-        log.record_slot()
-    assert log.total == 21
 
 
 def test_learner_message_accounting():
@@ -69,12 +66,11 @@ def test_learner_message_accounting():
         learner = cls(small_config(), sched, rng)
         for _ in range(5):
             learner.step(sim)
-        assert learner.message_log.per_slot == per_slot
-        assert learner.message_log.total == 5 * per_slot
+        assert len(learner.message_labels) == per_slot
     sim, rng = small_sim(1)
     grace = GraceController(small_config())
     grace.step(sim)
-    assert grace.message_log.per_slot == 0
+    assert len(grace.message_labels) == 0
 
 
 def constant_env():
@@ -97,17 +93,16 @@ def test_centralized_visit_decay_sequence():
     """First update lands at alpha=1; the second at 1/2^0.6, computed per pair."""
     cfg, sim = constant_env()
     learner = CentralizedQLearner(cfg, LearningSchedule(gamma=0.9, epsilon=0.0), sim.rng)
-    s = sim.state_index()
+    s = sim.s
 
-    rec1 = learner.step(sim)
-    r = rec1.et.reward
-    assert rec1.delta == r
+    delta1 = learner.step(sim)
+    r = sim.reward
+    assert delta1 == r
     assert learner.q[s, 0] == r
     assert learner.visits[s, 0] == 1
 
-    rec2 = learner.step(sim)
-    delta2 = r + 0.9 * r - r
-    assert rec2.delta == delta2
+    delta2 = learner.step(sim)
+    assert delta2 == r + 0.9 * r - r
     assert learner.q[s, 0] == r + 1.0 / 2**0.6 * delta2
     assert learner.visits[s, 0] == 2
 
@@ -116,10 +111,10 @@ def test_centralized_gamma_zero_alpha_one_is_myopic():
     cfg, sim = constant_env()
     sched = LearningSchedule(gamma=0.0, epsilon=0.0, alpha_rule="constant", alpha=1.0)
     learner = CentralizedQLearner(cfg, sched, sim.rng)
-    s = sim.state_index()
+    s = sim.s
     for _ in range(3):
-        rec = learner.step(sim)
-        assert learner.q[s, 0] == rec.et.reward  # table tracks the last reward exactly
+        learner.step(sim)
+        assert learner.q[s, 0] == sim.reward  # table tracks the last reward exactly
 
 
 def test_centralized_state_values_shape():
@@ -159,15 +154,15 @@ def test_layered_select_grids():
 
 def test_layered_update_cascade_from_zero():
     tables = LayeredQTables(q_app=np.zeros((24, 2, 2)), q_os=np.zeros((24, 2, 2)))
-    et = make_et()
+    sim = fake_slot()
     w_os, w_app = 22 / 125, 22 / 1875
-    d_app, d_os = layered_update(tables, et, 1.0, 1.0, 0.9, w_os, w_app, 2, 6)
     s = (0 * 2 + 0) * 6 + 1
-    expected_app = et.gain - w_app * et.cost_app + 0.9 * 0.0
+    d_app, d_os = layered_update(tables, s, 1, 1, sim, 1.0, 1.0, 0.9, w_os, w_app)
+    expected_app = sim.gain - w_app * sim.j2 + 0.9 * 0.0
     assert d_app == expected_app
     assert tables.q_app[s, 1, 1] == expected_app
     assert np.count_nonzero(tables.q_app) == 1
-    expected_os = -w_os * et.cost_os + expected_app
+    expected_os = -w_os * sim.j1 + expected_app
     assert d_os == expected_os
     assert tables.q_os[s, 1, 1] == expected_os
     assert np.count_nonzero(tables.q_os) == 1
@@ -177,17 +172,16 @@ def test_layered_update_uses_post_update_inner_value():
     """The OS target reads the inner cell after the APP update; with a zero
     APP learning rate it therefore sees the stale value."""
     tables = LayeredQTables(q_app=np.zeros((24, 2, 2)), q_os=np.zeros((24, 2, 2)))
-    et = make_et()
+    sim = fake_slot()
     s = 1
-    s_next = (1 * 2 + 1) * 6 + 2
     tables.q_app[s, 1, 1] = 0.3
     tables.q_os[s, 1, 1] = 0.1
-    tables.q_os[s_next, 0, 1] = 2.0  # max of the next-state grid
+    tables.q_os[sim.s, 0, 1] = 2.0  # max of the next-state grid
     before_app = tables.q_app.copy()
-    d_app, d_os = layered_update(tables, et, 1.0, 0.0, 0.9, 22 / 125, 22 / 1875, 2, 6)
-    assert d_app == (et.gain - (22 / 1875) * et.cost_app + 0.9 * 2.0) - 0.3
+    d_app, d_os = layered_update(tables, s, 1, 1, sim, 1.0, 0.0, 0.9, 22 / 125, 22 / 1875)
+    assert d_app == (sim.gain - (22 / 1875) * sim.j2 + 0.9 * 2.0) - 0.3
     assert np.array_equal(tables.q_app, before_app)
-    assert d_os == (-(22 / 125) * et.cost_os + 0.3) - 0.1
+    assert d_os == (-(22 / 125) * sim.j1 + 0.3) - 0.1
     assert tables.q_os[s, 1, 1] == 0.1 + d_os
 
 
@@ -199,7 +193,6 @@ def test_layered_learner_bookkeeping():
     assert learner.visits_app.sum() == 300
     assert learner.visits_os.sum() == 300
     assert learner.state_values().shape == (24,)
-    assert learner.message_log.total == 300 * 7
 
 
 def test_layered_deltas_vanish_at_fixed_point():
@@ -214,12 +207,12 @@ def test_layered_deltas_vanish_at_fixed_point():
     d_app = np.empty(n)
     d_os = np.empty(n)
     for t in range(n):
-        s = sim.state_index()
+        s = sim.s
         config_idx, _ = grid_select(tables.q_app[s], 0.0, rng)
         command_idx, _ = grid_select(tables.q_os[s], 0.0, rng)
-        et, _ = sim.slot(command_idx, config_idx)
+        sim.slot(command_idx, config_idx)
         d_app[t], d_os[t] = layered_update(
-            tables, et, 0.0, 0.0, 0.9, cfg.power_weight, cfg.rd_weight, 2, 6
+            tables, s, command_idx, config_idx, sim, 0.0, 0.0, 0.9, cfg.power_weight, cfg.rd_weight
         )
     assert np.array_equal(tables.q_app, inner)  # zero rate: nothing moved
     assert abs(d_app.mean()) <= 0.01
@@ -301,7 +294,8 @@ def test_virtual_expand_members():
     cfg = small_config()
     sim, _ = small_sim(9)
     sim.slot(0, 0)
-    et, _ = sim.slot(1, 0)
+    sim.slot(1, 0)
+    et = slot_tuple(sim)
     expanded = virtual_et_expand(et, cfg)
     assert len(expanded) == cfg.capacity + 1
     assert expanded[et.state[2]] == et  # the actual level reproduces the tuple
@@ -324,7 +318,8 @@ def test_virtual_expand_matches_forced_step():
     source = StationarySource(default_generator_params(), cfg.unit_types, rng)
     sim = Simulator(cfg, source, rng)
     for _ in range(5):
-        et, _ = sim.slot(int(rng.integers(5)), int(rng.integers(3)))
+        sim.slot(int(rng.integers(5)), int(rng.integers(3)))
+    et = slot_tuple(sim)
     expanded = virtual_et_expand(et, cfg)
 
     fi, zi, _ = et.state
@@ -358,7 +353,8 @@ def test_virtual_expand_matches_forced_step():
 
 def expanded_fixture(cfg):
     sim, rng = small_sim(21)
-    et, _ = sim.slot(1, 0)
+    sim.slot(1, 0)
+    et = slot_tuple(sim)
     return virtual_et_expand(et, cfg), et
 
 
@@ -429,7 +425,10 @@ def run_pair(cls_a, kwargs_a, cls_b, kwargs_b, n=2000, seed=13):
     for cls, kwargs in ((cls_a, kwargs_a), (cls_b, kwargs_b)):
         sim, rng = small_sim(seed)
         learner = cls(cfg, LearningSchedule(), rng, **kwargs)
-        rewards = [learner.step(sim).et.reward for _ in range(n)]
+        rewards = []
+        for _ in range(n):
+            learner.step(sim)
+            rewards.append(sim.reward)
         out.append((learner, rewards))
     return out
 
@@ -461,9 +460,10 @@ def assert_virtual_fast_path_matches_public_ops(cfg, sched, psi, seed, n, params
     q = np.zeros_like(learner.q)
     visits = np.zeros_like(learner.visits)
     for slot in range(n):
-        s = sim_b.state_index()
+        s = sim_b.s
         a = epsilon_greedy(q[s], sched.epsilon_at(slot), rng_b)
-        et, _ = sim_b.slot(*divmod(a, n_configs))
+        sim_b.slot(*divmod(a, n_configs))
+        et = slot_tuple(sim_b)
         expanded = virtual_et_expand(et, cfg)
         virtual_et_update(
             q, visits, expanded, et.state[2], psi, sched, rng_b, n_types, n_levels, n_configs
@@ -555,18 +555,19 @@ def test_td_step_trace_arithmetic():
     """Trace updates scale by alpha(target pair) * delta * decay^age and do
     not advance the target pair's visit count."""
     sched = LearningSchedule(gamma=0.9)
+    alphas = LazyTable(sched.alpha_at)
     q = np.zeros((24, 4))
     visits = np.zeros((24, 4), dtype=np.int64)
     elig = EligibilityState(decay=0.72)
 
-    et1 = make_et(state=(0, 0, 2), action=(1, 1), reward=1.0, next_state=(1, 1, 3))
-    delta1 = td_lambda_step(q, visits, elig, et1, 2, sched, 2, 6, 2)
+    # (0, 0, 2) -> (1, 1, 3) under (1, 1); then back to (0, 0, 2) under (0, 1)
+    delta1 = td_lambda_step(q, visits, elig, 2, 3, fake_slot(s=21, reward=1.0), 2, sched, alphas)
     assert delta1 == 1.0
     assert q[2, 3] == 1.0 and visits[2, 3] == 1
     assert elig.slot == 1
+    assert list(elig.last_visit) == [2 * 4 + 3]  # traces keyed by the flat cell
 
-    et2 = make_et(state=(1, 1, 3), action=(0, 1), reward=0.5, next_state=(0, 0, 2))
-    delta2 = td_lambda_step(q, visits, elig, et2, 2, sched, 2, 6, 2)
+    delta2 = td_lambda_step(q, visits, elig, 21, 1, fake_slot(s=2, reward=0.5), 2, sched, alphas)
     assert delta2 == 0.5 + 0.9 * 1.0
     assert q[21, 1] == delta2 and visits[21, 1] == 1
     alpha = 1.0 / 2**0.6  # the trace target has one prior visit
@@ -625,9 +626,11 @@ def test_grace_config_warm_start_then_argmin():
     rng = np.random.default_rng(0)
     sim = Simulator(cfg, StationarySource(params, ("P",), rng), rng)
     grace = GraceController(cfg)
-    records = [grace.step(sim) for _ in range(8)]
-    configs = [r.et.action[1] for r in records]
-    commands = [r.et.action[0] for r in records]
+    commands, configs = [], []
+    for _ in range(8):
+        assert grace.step(sim) == 0.0
+        commands.append(sim.u)
+        configs.append(sim.h)
     assert configs == [0, 1, 2, 1, 1, 1, 1, 1]  # try each once, then lock the argmin
     assert commands == [4, 0, 0, 0, 0, 0, 0, 0]  # warm-up at max, then 1e6 cycles fit at 200 MHz
 
@@ -690,12 +693,12 @@ def test_best_response_layers_drive_the_right_action():
         n_other = 2
         fixed = np.tile(np.arange(n_other), 12)
         learner = BestResponseLearner(cfg, LearningSchedule(epsilon=0.0), rng, layer, fixed)
-        s = sim.state_index()
-        rec = learner.step(sim)
+        s = sim.s
+        learner.step(sim)
         if layer == "app":
-            assert rec.et.action[0] == fixed[s]  # command comes from the fixed policy
+            assert sim.u == fixed[s]  # command comes from the fixed policy
         else:
-            assert rec.et.action[1] == fixed[s]  # config comes from the fixed policy
+            assert sim.h == fixed[s]  # config comes from the fixed policy
 
 
 def test_fixed_policy_controller():
@@ -705,9 +708,9 @@ def test_fixed_policy_controller():
     controller = FixedPolicyController(cfg, policy, values)
     sim, _ = small_sim(6)
     for _ in range(50):
-        s = sim.state_index()
-        rec = controller.step(sim)
-        assert rec.et.action == divmod(policy[s], 2)
+        s = sim.s
+        assert controller.step(sim) == 0.0
+        assert (sim.u, sim.h) == divmod(policy[s], 2)
     assert np.array_equal(controller.state_values(), values)
     with pytest.raises(PolicyError):
         FixedPolicyController(cfg, np.zeros(5, dtype=int))

@@ -234,6 +234,15 @@ def test_stationary_is_fixed_point_of_damped_chain():
     assert np.all(mu >= 0) and mu.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad_tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_stationary_rejects_bad_tol(bad_tol):
+    """A NaN tolerance never satisfies residual <= tol, so an unchecked one runs
+    every power iteration up to max_iter; it is rejected before the first."""
+    model = random_model(np.random.default_rng(2))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        stationary_distribution(model, np.zeros(model.n_states, dtype=int), tol=bad_tol)
+
+
 def test_stationary_policy_validation():
     model = random_model(np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ def record_run(n=120, seed=7, interval=500):
     learner = CentralizedQLearner(small_config(), LearningSchedule(), rng)
     stats = RunStats(horizon=n, checkpoint_interval=interval)
     for _ in range(n):
-        stats.log_slot(learner.step(sim))
+        stats.log_slot(sim, learner.step(sim))
         stats.maybe_checkpoint(learner)
     return stats, learner
 
@@ -43,11 +43,26 @@ def test_horizon_guard_and_validation():
     with pytest.raises(ValueError):
         RunStats(horizon=10, checkpoint_interval=0)
     sim, rng = small_sim(1)
-    rec = CentralizedQLearner(small_config(), LearningSchedule(), rng).step(sim)
+    delta = CentralizedQLearner(small_config(), LearningSchedule(), rng).step(sim)
     full = RunStats(horizon=1)
-    full.log_slot(rec)
+    full.log_slot(sim, delta)
     with pytest.raises(ValueError):
-        full.log_slot(rec)
+        full.log_slot(sim, delta)
+
+
+def test_log_slot_reads_the_slot_attributes():
+    sim, rng = small_sim(4)
+    learner = CentralizedQLearner(small_config(), LearningSchedule(), rng)
+    stats = RunStats(horizon=30)
+    for i in range(30):
+        start = (sim.freq_idx, sim.type_idx, sim.occupancy)
+        delta = learner.step(sim)
+        stats.log_slot(sim, delta)
+        assert (stats.freq[i], stats.unit_type[i], stats.occupancy[i]) == start
+        assert (stats.command[i], stats.config[i]) == (sim.u, sim.h)
+        assert (stats.arrivals[i], stats.overflow[i]) == (sim.arrivals, sim.overflow)
+        assert (stats.reward[i], stats.gain[i]) == (sim.reward, sim.gain)
+        assert (stats.cost_os[i], stats.cost_app[i], stats.delta[i]) == (sim.j1, sim.j2, delta)
 
 
 def test_empty_stats():
@@ -80,7 +95,7 @@ def test_checkpoint_cadence_and_isolation():
     assert np.array_equal(stats.checkpoints[0][1], snapshot)
     # off-boundary calls do nothing
     stats2 = RunStats(horizon=10, checkpoint_interval=3)
-    stats2.log_slot(_one_record())
+    stats2.log_slot(*_one_slot())
     stats2.maybe_checkpoint(learner)
     assert stats2.checkpoints == []
 
@@ -93,20 +108,20 @@ def test_checkpoint_rejects_non_finite_values(bad):
     learner = CentralizedQLearner(small_config(), LearningSchedule(), rng)
     stats = RunStats(horizon=500, checkpoint_interval=250)
     for _ in range(499):
-        record = learner.step(sim)
-        stats.log_slot(record)
+        delta = learner.step(sim)
+        stats.log_slot(sim, delta)
         stats.maybe_checkpoint(learner)
     learner.q[7] = bad
     stats.maybe_checkpoint(learner)  # off a boundary: not checked
-    stats.log_slot(record)
+    stats.log_slot(sim, delta)
     with pytest.raises(FloatingPointError, match=f"slot 500: state 7 has value {bad}"):
         stats.maybe_checkpoint(learner)
     assert [n for n, _ in stats.checkpoints] == [250]
 
 
-def _one_record():
+def _one_slot():
     sim, rng = small_sim(3)
-    return CentralizedQLearner(small_config(), LearningSchedule(), rng).step(sim)
+    return sim, CentralizedQLearner(small_config(), LearningSchedule(), rng).step(sim)
 
 
 def test_checkpoints_skipped_without_values():
@@ -114,7 +129,7 @@ def test_checkpoints_skipped_without_values():
     grace = GraceController(small_config())
     stats = RunStats(horizon=40, checkpoint_interval=10)
     for _ in range(40):
-        stats.log_slot(grace.step(sim))
+        stats.log_slot(sim, grace.step(sim))
         stats.maybe_checkpoint(grace)
     assert stats.checkpoints == []  # controller exposes no value estimates
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,9 +172,73 @@ def test_step_type_draw_uses_cumulative_bounds():
 def test_simulator_initial_state():
     cfg = small_config(initial_occupancy=3)
     sim = Simulator(cfg, None, np.random.default_rng(0))
-    assert sim.state() == (0, 0, 3)
-    assert sim.state_index() == 3
-    assert sim.last_sample is None
+    assert (sim.freq_idx, sim.type_idx, sim.occupancy) == (0, 0, 3)
+    assert sim.s == cfg.state_space().index(0, 0, 3) == 3
+
+
+class RandomCyclesSource:
+    """Uniform cycle counts from zero to three buffers' worth of arrivals at
+    the highest frequency, so slots empty, fill and overflow the buffer."""
+
+    def __init__(self, cfg: SystemConfig, rng):
+        self.rng = rng
+        self.n_configs = len(cfg.configs)
+        self.top = 3.0 * (cfg.capacity + 1) * cfg.frequencies[-1] / cfg.arrival_rate
+
+    def draw(self, type_idx):
+        n = self.n_configs
+        return SimpleNamespace(
+            cycles=self.rng.uniform(0.0, self.top, n), bits=np.ones(n), distortion=np.ones(n)
+        )
+
+
+@st.composite
+def small_systems(draw):
+    n_freqs, n_types, n_configs = (draw(st.integers(1, 3)) for _ in range(3))
+    capacity = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(n_types):
+        weights = draw(st.lists(st.integers(0, 4), min_size=n_types, max_size=n_types).filter(any))
+        rows.append(tuple(w / sum(weights) for w in weights))
+    return SystemConfig(
+        frequencies=tuple(2e8 * (i + 1) for i in range(n_freqs)),
+        unit_types=("P", "B", "I")[:n_types],
+        configs=tuple(f"h{i}" for i in range(n_configs)),
+        type_transition=tuple(rows),
+        capacity=capacity,
+        initial_occupancy=draw(st.integers(0, capacity)),
+        switch_prob=draw(st.sampled_from([0.5, 0.9, 1.0])),
+    )
+
+
+@given(
+    small_systems(),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=60),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_simulator_state_index_property(cfg, actions, seed):
+    """Over random small systems, actions and seeds the simulator stays inside
+    the state space, and after every slot its index is StateSpace.index of its
+    components: the one index rule."""
+    space = cfg.state_space()
+    n_freqs, n_configs = len(cfg.frequencies), len(cfg.configs)
+    rng = np.random.default_rng(seed)
+    sim = Simulator(cfg, RandomCyclesSource(cfg, rng), rng)
+    assert sim.s == space.index(0, 0, cfg.initial_occupancy)
+    for u, h in actions:
+        u, h = u % n_freqs, h % n_configs
+        start = (sim.freq_idx, sim.type_idx, sim.occupancy)
+        s_next = sim.slot(u, h)
+        state = (sim.freq_idx, sim.type_idx, sim.occupancy)
+        assert (sim.f, sim.z, sim.q) == start and (sim.u, sim.h) == (u, h)
+        assert 0 <= state[0] < n_freqs and 0 <= state[1] < len(cfg.unit_types)
+        assert 0 <= state[2] <= cfg.capacity
+        assert state[0] in (u, start[0])
+        assert cfg.type_transition[start[1]][state[1]] > 0
+        assert (state[2], sim.overflow) == buffer_step(start[2], sim.arrivals, cfg.capacity)
+        assert s_next == sim.s == space.index(*state)
+        assert 0 <= sim.s < space.n_states and space.components(sim.s) == state
 
 
 def test_simulator_matches_step():
@@ -187,9 +253,9 @@ def test_simulator_matches_step():
     slot_rewards = []
     slot_states = []
     for ui, hi in actions:
-        et, overflow = sim.slot(ui, hi)
-        slot_rewards.append(et.reward)
-        slot_states.append((et.next_state, et.arrivals, overflow))
+        sim.slot(ui, hi)
+        slot_rewards.append(sim.reward)
+        slot_states.append(((sim.freq_idx, sim.type_idx, sim.occupancy), sim.arrivals, sim.overflow))
 
     # replay the identical trajectory through the value-level reference
     rng = np.random.default_rng(seed)
