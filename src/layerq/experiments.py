@@ -431,7 +431,7 @@ def make_learner(cfg: ExperimentConfig, rng: np.random.Generator, oracle: Oracle
     if alg == "td-lambda":
         return TdLambdaLearner(system, schedule, rng, lam=spec.lam, psi=spec.psi)
     if alg == "grace":
-        return GraceController(system, rng, window_len=spec.window_len, smoothing=spec.smoothing)
+        return GraceController(system, window_len=spec.window_len, smoothing=spec.smoothing)
     if oracle is None:
         raise ConfigError(f"learner.algorithm: {alg!r} needs the oracle; set oracle.enabled: true")
     n_configs = len(system.configs)

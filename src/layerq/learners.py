@@ -554,13 +554,7 @@ class GraceController:
 
     message_labels = ()
 
-    def __init__(
-        self,
-        cfg: SystemConfig,
-        rng: np.random.Generator = None,
-        window_len: int = 32,
-        smoothing: float = 0.9,
-    ):
+    def __init__(self, cfg: SystemConfig, window_len: int = 32, smoothing: float = 0.9):
         if not 0.0 <= smoothing < 1.0:
             raise ValueError("smoothing must be in [0, 1)")
         self.cfg = cfg

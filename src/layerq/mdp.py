@@ -4,8 +4,8 @@ Dense-array representations of state/action spaces, transition models (dense
 and factored: a low-layer factor, a type chain and a buffer factor), and the
 tabular learning primitives (epsilon-greedy selection, one-step Q updates,
 value iteration, stationary distributions). The solvers see a model only
-through `validate`, `r`, `expected_next` (action-major) and `policy_chain`,
-so they run on either representation. Nothing in this module
+through `validate`, `r`, `expected_next` (action-major) and `policy_step`
+(mu -> mu P_pi), so they run on either representation. Nothing in this module
 knows about the concrete encoder/frequency system; states and actions are
 integer indices.
 """
@@ -92,6 +92,9 @@ class TransitionModel:
         return self.p.shape[1]
 
     def validate(self, tol: float = 1e-9) -> None:
+        for name, value in vars(self).items():
+            if not np.isfinite(value).all():
+                raise ModelError(f"non-finite entry in {name}")
         if self.p.ndim != 3 or self.p.shape[0] != self.p.shape[2]:
             raise ModelError(f"p must be (S, A, S), got {self.p.shape}")
         if self.r.shape != self.p.shape[:2]:
@@ -110,6 +113,11 @@ class TransitionModel:
     def policy_chain(self, policy: np.ndarray) -> np.ndarray:
         """The (S, S) transition matrix of the chain that `policy` induces."""
         return self.p[np.arange(self.n_states), policy]
+
+    def policy_step(self, policy: np.ndarray):
+        """mu -> mu P_pi for the chain that `policy` induces, by its dense chain."""
+        chain = self.policy_chain(policy)
+        return lambda mu: mu @ chain
 
 
 @dataclass
@@ -153,6 +161,9 @@ class FactoredModel:
         return np.ascontiguousarray(r.reshape(self.n_states, self.n_actions))
 
     def validate(self, tol: float = 1e-9) -> None:
+        for name, value in vars(self).items():
+            if not np.isfinite(value).all():
+                raise ModelError(f"non-finite entry in {name}")
         n1, m1, n1_next = self.p_low.shape
         if n1_next != n1:
             raise ModelError(f"p_low must be (n1, m1, n1), got {self.p_low.shape}")
@@ -217,6 +228,21 @@ class FactoredModel:
         low = self.p_low[i, k]          # (n1, n2, n1): p_low[i, k(i, x), j]
         high = self._p_high(i, m)       # (n1, n2, n2): p_high[i, x, m(i, x), y]
         return (low[:, :, :, None] * high[:, :, None, :]).reshape(n1 * n2, n1 * n2)
+
+    def policy_step(self, policy: np.ndarray):
+        """mu -> mu P_pi on the factors; the policy's p_low rows (n1, nz, L, n1) and p_buffer
+        rows (n1, nz, L, L) are gathered once, and a step is one batched matmul over (s1, z)."""
+        n1, nz, m2, n_levels, _ = self.p_buffer.shape
+        k, m = np.divmod(np.asarray(policy).reshape(n1, nz, n_levels), m2)
+        i, z, q = np.ogrid[:n1, :nz, :n_levels]
+        low, buffer = self.p_low[i, k], self.p_buffer[i, z, m, q]
+        def step(mu: np.ndarray) -> np.ndarray:
+            # flow[z, j, q'] = sum over (i, q) of mu[i, z, q] p_low[i, k, j] p_buffer[i, z, m, q, q']
+            weighted = mu.reshape(n1, nz, n_levels, 1) * low
+            flow = (weighted.transpose(0, 1, 3, 2) @ buffer).sum(axis=0)
+            out = self.p_type.T @ flow.reshape(nz, n1 * n_levels)
+            return out.reshape(nz, n1, n_levels).transpose(1, 0, 2).ravel()
+        return step
 
     def to_joint(self) -> TransitionModel:
         """The dense model of the same MDP (a test reference for small instances)."""
@@ -367,25 +393,25 @@ def stationary_distribution(
 ) -> np.ndarray:
     """Stationary distribution of the policy-induced chain by power iteration.
 
-    The chain is damped toward uniform by `damping` so that periodic or
-    reducible chains still have a unique fixed point; the perturbation of the
-    result is O(damping). Starts from the uniform distribution. A residual
+    The chain is damped toward uniform by `damping` in [0, 1), so that periodic
+    or reducible chains still have a unique fixed point; the perturbation of
+    the result is O(damping). Starts from the uniform distribution. A residual
     ||mu P - mu||_1 <= tol holds for the damped chain on return (the residual
     is non-increasing along power iterations).
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must be finite and in [0, 1), got {damping}")
     model.validate()
     n = model.n_states
     if len(policy) != n or np.any(policy < 0) or np.any(policy >= model.n_actions):
         raise ValueError("policy is not a valid action index per state")
-    chain = model.policy_chain(policy)
-    if damping > 0.0:
-        chain = (1.0 - damping) * chain + damping / n
+    step = model.policy_step(policy)
     mu = np.full(n, 1.0 / n)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        mu_next = mu @ chain
+        mu_next = (1.0 - damping) * step(mu) + damping / n * mu.sum()
         mu_next /= mu_next.sum()
         residual = float(np.abs(mu_next - mu).sum())
         mu = mu_next

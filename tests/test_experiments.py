@@ -406,15 +406,15 @@ def test_oracle_estimation_matches_object_pipeline(trace, default_oracle):
 
 def test_oracle_matches_dense_solve(default_oracle):
     """On the default instance the factored solve agrees with dense value
-    iteration on the joint tensor: same policy, Q* and V* to 1e-12, the same
-    weights bit for bit."""
+    iteration on the joint tensor: same policy, Q* and V* to 1e-12, and the
+    weights to 1e-12."""
     gamma = config_from_dict({}).learner.gamma
     joint = default_oracle.model.to_joint()
     q, policy, v = value_iteration(joint, gamma, tol=1e-8)
     assert np.array_equal(policy, default_oracle.policy)
     assert np.abs(q - default_oracle.q_star).max() <= 1e-12
     assert np.abs(v - default_oracle.values).max() <= 1e-12
-    assert np.array_equal(stationary_distribution(joint, policy), default_oracle.weights)
+    assert np.abs(stationary_distribution(joint, policy) - default_oracle.weights).max() <= 1e-12
     # and against the directly assembled dense model, up to its round-off
     dense = assemble_transition_model(config_from_dict({}).system, default_oracle.dynamics)
     assert np.abs(dense.p - joint.p).max() <= 1e-15

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -234,6 +235,42 @@ def test_stationary_is_fixed_point_of_damped_chain():
     assert np.all(mu >= 0) and mu.sum() == pytest.approx(1.0)
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_factored_policy_step_matches_chain(seed, n1, nz, n_levels, m1, m2):
+    """The factored mu -> mu P_pi equals mu @ policy_chain(policy) for random
+    policies and distributions, and the stationary solve built on it returns
+    a fixed point of the damped dense chain."""
+    rng = np.random.default_rng(seed)
+    factors = random_factored(rng, n1, nz, n_levels, m1, m2)
+    policy = rng.integers(factors.n_actions, size=factors.n_states)
+    mu = rng.random(factors.n_states)
+    mu /= mu.sum()
+    chain = factors.policy_chain(policy)
+    assert np.abs(factors.policy_step(policy)(mu) - mu @ chain).max() <= 1e-14
+    damping = 1e-6
+    w = stationary_distribution(factors, policy, tol=1e-12, damping=damping)
+    damped = (1 - damping) * chain + damping / factors.n_states
+    assert np.abs(w @ damped - w).sum() <= 1e-11
+
+
+@pytest.mark.parametrize("bad_damping", [float("nan"), float("inf"), -1e-6, 1.0, 2.0])
+def test_stationary_rejects_bad_damping(bad_damping):
+    """NaN compares false with every bound, so an unchecked NaN damping means
+    no damping; damping 1 or more no longer perturbs the chain, and with 2.0
+    the weights of a non-uniform chain go negative."""
+    model = random_model(np.random.default_rng(2))
+    with pytest.raises(ValueError, match="damping must be finite and in"):
+        stationary_distribution(model, np.zeros(model.n_states, dtype=int), damping=bad_damping)
+
+
 @pytest.mark.parametrize("bad_tol", [float("nan"), float("inf"), 0.0, -1e-10])
 def test_stationary_rejects_bad_tol(bad_tol):
     """A NaN tolerance never satisfies residual <= tol, so an unchecked one runs
@@ -287,8 +324,9 @@ def test_factored_high_expectation_matches_product():
 @settings(max_examples=40, deadline=None)
 def test_factored_solve_matches_dense(seed, n1, nz, n_levels, m1, m2):
     """Value iteration and the stationary solve on the factors agree with the
-    dense solve of to_joint(): Q* and V* to 1e-12 with the same policy, and
-    the policy chain and the weights bit for bit under that policy."""
+    dense solve of to_joint(): Q* and V* to 1e-12 with the same policy, the
+    policy chain bit for bit under that policy, and the weights to 1e-12 (the
+    factored step sums in another order than the dense chain's)."""
     factors = random_factored(np.random.default_rng(seed), n1, nz, n_levels, m1, m2)
     joint = factors.to_joint()
     v = np.random.default_rng(seed + 1).normal(size=factors.n_states)
@@ -303,7 +341,7 @@ def test_factored_solve_matches_dense(seed, n1, nz, n_levels, m1, m2):
     assert np.array_equal(factors.policy_chain(pol_f), joint.policy_chain(pol_d))
     w_f = stationary_distribution(factors, pol_f)
     w_d = stationary_distribution(joint, pol_d)
-    assert np.array_equal(w_f, w_d)
+    assert np.abs(w_f - w_d).max() <= 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5), st.floats(0.0, 0.95))
@@ -358,6 +396,27 @@ def test_factored_model_validation():
             model.validate()
         with pytest.raises(ModelError):
             value_iteration(model, gamma=0.9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_models_reject_non_finite_entries(bad):
+    """NaN compares false with every bound, so the sign and row-sum checks
+    alone pass a NaN model and the solvers then run to their iteration caps;
+    validate names the array instead."""
+    dense = random_model(np.random.default_rng(2))
+    factors = random_factored(np.random.default_rng(8), nz=2)
+    for model, fields in (
+        (dense, ("p", "r")),
+        (factors, ("p_low", "p_type", "p_buffer", "gain", "cost_low", "cost_high")),
+    ):
+        for name in fields:
+            arr = getattr(model, name).copy()
+            arr.flat[-1] = bad
+            broken = dataclasses.replace(model, **{name: arr})
+            with pytest.raises(ModelError, match=f"non-finite entry in {name}$"):
+                broken.validate()
+            with pytest.raises(ModelError):
+                stationary_distribution(broken, np.zeros(model.n_states, dtype=int))
 
 
 def test_alpha_exponent_must_be_positive():
