@@ -498,12 +498,18 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _summary_row(cfg: ExperimentConfig, result: RunResult, oracle: OracleResult | None) -> list:
+def _error_curve(result: RunResult, oracle: OracleResult | None):
+    """The run's (slots, errors) against the oracle; None without the oracle
+    or without checkpoints."""
+    if oracle is None or not result.stats.checkpoints:
+        return None
+    return error_curve(result.stats.checkpoints, oracle.values, oracle.weights)
+
+
+def _summary_row(cfg: ExperimentConfig, result: RunResult, curve) -> list:
+    """The summary row of a run whose error curve is `curve` (see _error_curve)."""
     s = result.summary()
-    final_error = ""
-    if oracle is not None and result.stats.checkpoints:
-        _, errors = error_curve(result.stats.checkpoints, oracle.values, oracle.weights)
-        final_error = float(errors[-1])
+    final_error = "" if curve is None else float(curve[1][-1])
     return [
         cfg.label,
         cfg.learner.algorithm,
@@ -532,56 +538,39 @@ def write_summary_csv(path, rows: list[list]) -> None:
 SLOT_COLUMNS = ("n", "f", "z", "q", "u", "h", "arrivals", "overflow", "reward", "gain", "j1", "j2", "delta")
 
 
+def _write_columns(path, header, columns) -> None:
+    """A CSV with one row per index of `columns` (equal-length sequences of
+    Python ints and floats), byte for byte what csv.writer writes for them:
+    ints as str, floats as their shortest repr, none quoted, CRLF line ends."""
+    row_format = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row_format.format, *columns))
+
+
 def write_slots_csv(path, stats: RunStats) -> None:
     n = stats.slots
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SLOT_COLUMNS)
-        for i in range(n):
-            writer.writerow(
-                [
-                    i,
-                    stats.freq[i],
-                    stats.unit_type[i],
-                    stats.occupancy[i],
-                    stats.command[i],
-                    stats.config[i],
-                    stats.arrivals[i],
-                    stats.overflow[i],
-                    repr(float(stats.reward[i])),
-                    repr(float(stats.gain[i])),
-                    repr(float(stats.cost_os[i])),
-                    repr(float(stats.cost_app[i])),
-                    repr(float(stats.delta[i])),
-                ]
-            )
+    columns = (
+        stats.freq, stats.unit_type, stats.occupancy, stats.command, stats.config, stats.arrivals,
+        stats.overflow, stats.reward, stats.gain, stats.cost_os, stats.cost_app, stats.delta,
+    )
+    _write_columns(path, SLOT_COLUMNS, (range(n), *(c[:n].tolist() for c in columns)))
 
 
 def write_oracle_csv(oracle: OracleResult, system: SystemConfig, out_dir) -> list[str]:
     """Emit policy, values, and stationary weights as CSVs."""
     out = Path(out_dir)
-    states = system.state_space()
-    n_configs = len(system.configs)
+    states = np.arange(len(oracle.policy))
+    fi, zi, q = system.state_space().components(states)
+    u, h = np.divmod(oracle.policy, len(system.configs))
     files = []
-    path = out / "policy.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("s", "f", "z", "q", "u", "h"))
-        for s in range(len(oracle.policy)):
-            fi, zi, q = states.components(s)
-            u, h = divmod(int(oracle.policy[s]), n_configs)
-            writer.writerow((s, fi, zi, q, u, h))
-    files.append(str(path))
-    for name, column, vec in (
-        ("values.csv", "value", oracle.values),
-        ("weights.csv", "weight", oracle.weights),
+    for name, header, columns in (
+        ("policy.csv", ("s", "f", "z", "q", "u", "h"), (states, fi, zi, q, u, h)),
+        ("values.csv", ("s", "value"), (states, oracle.values)),
+        ("weights.csv", ("s", "weight"), (states, oracle.weights)),
     ):
         path = out / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("s", column))
-            for s, v in enumerate(vec):
-                writer.writerow((s, repr(float(v))))
+        _write_columns(path, header, [c.tolist() for c in columns])
         files.append(str(path))
     return files
 
@@ -618,6 +607,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     out.mkdir(parents=True, exist_ok=True)
     oracle = _oracle_if_needed(cfg, {})
     runs = [run_single(cfg, seed, oracle) for seed in cfg.run.seeds]
+    error_curves = [_error_curve(r, oracle) for r in runs]
 
     files = []
     path = out / "config.yaml"
@@ -625,7 +615,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     files.append(str(path))
 
     path = out / "summary.csv"
-    write_summary_csv(path, [_summary_row(cfg, r, oracle) for r in runs])
+    write_summary_csv(path, [_summary_row(cfg, r, c) for r, c in zip(runs, error_curves)])
     files.append(str(path))
 
     if cfg.outputs.per_slot:
@@ -648,23 +638,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     )
     files.append(str(path))
 
-    if oracle is not None:
-        error_series = []
-        for r in runs:
-            if not r.stats.checkpoints:
-                continue
-            slots, errors = error_curve(r.stats.checkpoints, oracle.values, oracle.weights)
-            error_series.append((f"seed {r.seed}", slots, errors))
-        if error_series:
-            path = out / "error.svg"
-            line_chart(
-                error_series,
-                str(path),
-                title=f"{cfg.label}: weighted estimation error",
-                x_label="slot",
-                y_label="weighted error",
-            )
-            files.append(str(path))
+    error_series = [(f"seed {r.seed}", *c) for r, c in zip(runs, error_curves) if c is not None]
+    if error_series:
+        path = out / "error.svg"
+        line_chart(
+            error_series,
+            str(path),
+            title=f"{cfg.label}: weighted estimation error",
+            x_label="slot",
+            y_label="weighted error",
+        )
+        files.append(str(path))
 
     return ExperimentResult(cfg, oracle, runs, str(out), files)
 
@@ -714,19 +698,18 @@ def compare_experiments(configs: list[ExperimentConfig], out_dir) -> list[Experi
     for label, cfg in zip(labels, configs):
         oracle = _oracle_if_needed(cfg, oracle_cache)
         runs = [run_single(cfg, seed, oracle) for seed in cfg.run.seeds]
+        error_curves = [_error_curve(r, oracle) for r in runs]
         results.append(ExperimentResult(cfg, oracle, runs, str(out), []))
-        for r in runs:
-            row = _summary_row(cfg, r, oracle)
+        for r, curve in zip(runs, error_curves):
+            row = _summary_row(cfg, r, curve)
             row[0] = label
             all_rows.append(row)
 
         curves = np.stack([r.stats.cumulative_mean_reward() for r in runs])
         reward_series.append((label, np.arange(1, curves.shape[1] + 1), curves.mean(axis=0)))
-        if oracle is not None and all(r.stats.checkpoints for r in runs):
-            per_seed = [error_curve(r.stats.checkpoints, oracle.values, oracle.weights) for r in runs]
-            slots = per_seed[0][0]
-            errors = np.stack([e for _, e in per_seed]).mean(axis=0)
-            error_series.append((label, slots, errors))
+        if all(c is not None for c in error_curves):
+            errors = np.stack([e for _, e in error_curves]).mean(axis=0)
+            error_series.append((label, error_curves[0][0], errors))
 
     files = []
     path = out / "comparison.csv"

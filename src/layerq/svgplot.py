@@ -41,10 +41,12 @@ def _ticks(lo: float, hi: float, target: int = 6) -> np.ndarray:
     """Round tick positions on a 1-2-5 ladder covering [lo, hi]."""
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("axis range must be finite")
-    if lo == hi:
+    steps = max(target - 1, 1)
+    # A span too narrow for a normal-float tick step is drawn like a flat one.
+    if hi - lo < steps * np.finfo(float).tiny:
         pad = abs(lo) * 0.1 or 0.5
         lo, hi = lo - pad, hi + pad
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / steps
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -98,10 +100,12 @@ def line_chart(
     pw = width - left - right
     ph = height - top - bottom
 
-    def px(v: float) -> float:
+    # Both take a float or an array; an array gets the same IEEE operations
+    # per element, so a polyline point formats as it would from a float.
+    def px(v):
         return left + (v - x_lo) / (x_hi - x_lo) * pw
 
-    def py(v: float) -> float:
+    def py(v):
         return top + ph - (v - y_lo) / (y_hi - y_lo) * ph
 
     parts = [
@@ -149,7 +153,7 @@ def line_chart(
         )
     for i, (label, x, y) in enumerate(clean):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(float(a)):.1f},{py(float(b)):.1f}" for a, b in zip(x, y))
+        pts = " ".join(map("{:.1f},{:.1f}".format, px(x).tolist(), py(y).tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -464,7 +464,9 @@ def empirical_arrival_distribution(
     if missing:
         raise CoverageError(f"no observations for cells {missing}")
 
-    counts_per_cell: list[list[np.ndarray]] = []
+    # One cell's arrival counts at a time, binned at once: holding every
+    # cell's counts would take n_units * n_configs * n_freqs int64s.
+    binned: dict[tuple[int, int, int], np.ndarray] = {}
     mean_rd = np.zeros((nz, nh))
     sample_counts = np.zeros(nz, dtype=int)
     for zi, label in enumerate(cfg.unit_types):
@@ -473,17 +475,13 @@ def empirical_arrival_distribution(
             raise TraceError(f"type {label!r} has {bits.shape[1]} configs, expected {nh}")
         sample_counts[zi] = len(bits)
         mean_rd[zi] = (dist + cfg.rd_lambda * bits).mean(axis=0)
-        counts_per_cell.append(
-            [np.floor(cycles / f * cfg.arrival_rate).astype(np.int64) for f in cfg.frequencies]
-        )
-
-    n_counts = 1 + max(int(per_freq.max()) for row in counts_per_cell for per_freq in row)
-    pmf = np.zeros((nf, nz, nh, n_counts))
-    for zi in range(nz):
-        for fi in range(nf):
-            counts = counts_per_cell[zi][fi]
+        for fi, f in enumerate(cfg.frequencies):
+            counts = np.floor(cycles / f * cfg.arrival_rate).astype(np.int64)
             for hi in range(nh):
-                binned = np.bincount(counts[:, hi], minlength=n_counts)
-                pmf[fi, zi, hi] = binned / binned.sum()
+                binned[fi, zi, hi] = np.bincount(counts[:, hi])
+
+    pmf = np.zeros((nf, nz, nh, max(b.size for b in binned.values())))
+    for (fi, zi, hi), b in binned.items():
+        pmf[fi, zi, hi, : b.size] = b / b.sum()
 
     return EmpiricalDynamics(arrival_pmf=pmf, mean_rd_cost=mean_rd, sample_counts=sample_counts)

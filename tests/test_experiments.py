@@ -33,6 +33,7 @@ from layerq import (
     config_to_dict,
     default_generator_params,
     empirical_arrival_distribution,
+    error_curve,
     load_config,
     make_learner,
     make_source,
@@ -276,15 +277,32 @@ def test_run_experiment_artifacts_without_oracle(tmp_path):
     assert float(srows[0]["mean_reward"]) == result.runs[0].stats.mean_reward
 
 
+def counting_error_curve(monkeypatch) -> list:
+    """Patch experiments.error_curve to record each result it returns."""
+    curves = []
+
+    def counting(*args):
+        curves.append(error_curve(*args))
+        return curves[-1]
+
+    monkeypatch.setattr(experiments, "error_curve", counting)
+    return curves
+
+
 def test_run_experiment_with_oracle(tmp_path, monkeypatch, small_oracle):
     monkeypatch.setattr(experiments, "compute_oracle", lambda cfg: small_oracle)
-    result = run_experiment(greedy_cfg(), str(tmp_path))
+    curves = counting_error_curve(monkeypatch)
+    result = run_experiment(greedy_cfg(run={"seeds": [1, 2]}), str(tmp_path))
     names = sorted(p.split("/")[-1] for p in result.files)
     assert names == ["config.yaml", "error.svg", "reward.svg", "summary.csv"]
     with open(tmp_path / "summary.csv") as fh:
-        row = next(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    row = rows[0]
     assert row["algorithm"] == "oracle-greedy"
     assert float(row["final_weighted_error"]) >= 0.0
+    # one curve per run feeds both the summary column and error.svg
+    assert len(curves) == 2
+    assert [r["final_weighted_error"] for r in rows] == [repr(float(e[-1])) for _, e in curves]
     assert float(row["mean_reward"]) > 0.5  # the solved policy is far above chance
     assert row["messages_per_slot"] == "0"
 
@@ -337,12 +355,14 @@ def test_compare_oracle_cache(tmp_path, monkeypatch, small_oracle):
         return small_oracle
 
     monkeypatch.setattr(experiments, "compute_oracle", counting)
+    curves = counting_error_curve(monkeypatch)
     cfgs = [
-        greedy_cfg(name="a", run={"horizon": 50, "seeds": [1]}),
-        greedy_cfg(name="b", run={"horizon": 50, "seeds": [1]}),
+        greedy_cfg(name="a", run={"horizon": 200, "seeds": [1]}),
+        greedy_cfg(name="b", run={"horizon": 200, "seeds": [1]}),
     ]
     compare_experiments(cfgs, str(tmp_path))
     assert len(calls) == 1  # same gamma and oracle settings: solved once
+    assert len(curves) == 2  # one error curve per run
 
 
 def test_run_oracle_command(tmp_path, monkeypatch, small_oracle):

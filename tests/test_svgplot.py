@@ -68,6 +68,9 @@ def test_constant_series_renders(tmp_path):
     x = np.arange(10, dtype=float)
     root = render(tmp_path, [("flat", x, np.full(10, 2.5))])
     assert root.find(f"{SVG}polyline") is not None
+    # a span whose tick step would underflow is drawn as flat, not a math error
+    root = render(tmp_path, [("subnormal", x[:2], np.array([0.0, 5e-324]))])
+    assert root.find(f"{SVG}polyline") is not None
 
 
 def test_tick_ladder():
@@ -94,7 +97,7 @@ def test_import_leaves_network_modules_unloaded():
     assert out.stdout.strip() == ""
 
 
-def test_labels_are_escaped(tmp_path):
+def test_labels_are_escaped_in_markup(tmp_path):
     path = tmp_path / "chart.svg"
     line_chart([("a<b & \"c\"", np.arange(3.0), np.arange(3.0))], str(path), title="x > y")
     text = path.read_text()

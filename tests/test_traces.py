@@ -8,6 +8,7 @@ from layerq import (
     NonstationarySource,
     ReplaySource,
     StationarySource,
+    SystemConfig,
     TraceColumns,
     TraceError,
     TraceSample,
@@ -325,3 +326,34 @@ def test_empirical_arrivals_from_columns_match_samples():
     narrow = {label: tuple(a[:, :1] for a in cols) for label, cols in columns.by_type.items()}
     with pytest.raises(TraceError):
         empirical_arrival_distribution(TraceColumns(narrow), cfg, min_samples=1)
+
+
+def ref_arrival_pmf(columns: TraceColumns, cfg) -> np.ndarray:
+    """The arrival pmfs as first written: every cell's counts held at once,
+    then binned to the global support."""
+    counts_per_cell = [
+        [np.floor(columns.by_type[label][2] / f * cfg.arrival_rate).astype(np.int64) for f in cfg.frequencies]
+        for label in cfg.unit_types
+    ]
+    n_counts = 1 + max(int(per_freq.max()) for row in counts_per_cell for per_freq in row)
+    nf, nz, nh = len(cfg.frequencies), len(cfg.unit_types), len(cfg.configs)
+    pmf = np.zeros((nf, nz, nh, n_counts))
+    for zi in range(nz):
+        for fi in range(nf):
+            for hi in range(nh):
+                binned = np.bincount(counts_per_cell[zi][fi][:, hi], minlength=n_counts)
+                pmf[fi, zi, hi] = binned / binned.sum()
+    return pmf
+
+
+@pytest.mark.parametrize("units, seed", [(3, 0), (500, 1), (20_000, 777)])
+def test_empirical_arrivals_bin_one_cell_at_a_time(units, seed):
+    """Binning each cell as its counts are made gives the reference's pmf, bit
+    for bit and with the same support, the largest count over all cells."""
+    cfg = SystemConfig()
+    rng = np.random.default_rng(seed)
+    walk = np.arange(units) % len(cfg.unit_types)
+    columns = synth_columns(default_generator_params(), cfg.unit_types, walk, rng)
+    pmf = empirical_arrival_distribution(columns, cfg, min_samples=1).arrival_pmf
+    ref = ref_arrival_pmf(columns, cfg)
+    assert pmf.shape == ref.shape and pmf.tobytes() == ref.tobytes()
