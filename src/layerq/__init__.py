@@ -21,18 +21,11 @@ from .mdp import (
 )
 from .system import (
     EmpiricalDynamics,
-    ExperienceTuple,
-    GlobalAction,
-    GlobalState,
     Simulator,
-    StageOutcome,
     SystemConfig,
-    app_cost,
     assemble_factored_model,
     assemble_transition_model,
     buffer_step,
-    power_cost,
-    step,
     utility_gain,
 )
 from .traces import (
@@ -49,10 +42,8 @@ from .traces import (
     default_generator_params,
     empirical_arrival_distribution,
     load_csv,
-    sample_at,
     save_csv,
     synth_columns,
-    synth_nonstationary,
     synth_stationary,
 )
 from .learners import (
@@ -69,17 +60,12 @@ from .learners import (
     PolicyError,
     TdLambdaLearner,
     VirtualExperienceLearner,
-    decomposed_tables,
-    decomposition_check,
     layered_update,
     td_lambda_step,
-    virtual_et_expand,
-    virtual_et_update,
 )
 from .metrics import (
     RunStats,
     UndefinedStateError,
-    cumulative_average,
     error_curve,
     weighted_estimation_error,
 )

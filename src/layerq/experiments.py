@@ -92,6 +92,25 @@ def resolve_horizon(value) -> int:
     return horizon
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _integer(name: str, value, low: int) -> int:
+    """value as an int; a ConfigError naming the field unless it is an integer >= low."""
+    # NaN and inf are not integers, so they are rejected with the rest.
+    if not _is_real(value) or not float(value).is_integer() or value < low:
+        raise ConfigError(f"{name}: must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_scales(spec, section: str) -> None:
+    for name in ("cycles_scale", "bits_scale", "distortion_scale"):
+        value = getattr(spec, name)
+        if not _is_real(value) or not 0.0 < value < float("inf"):
+            raise ConfigError(f"{section}.{name}: must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SegmentSpec:
     """One stationary stretch of a non-stationary trace, as scale factors
@@ -103,10 +122,8 @@ class SegmentSpec:
     distortion_scale: float = 1.0
 
     def __post_init__(self):
-        if self.duration < 1:
-            raise ConfigError("trace.segments: duration must be >= 1")
-        if min(self.cycles_scale, self.bits_scale, self.distortion_scale) <= 0:
-            raise ConfigError("trace.segments: scale factors must be positive")
+        object.__setattr__(self, "duration", _integer("trace.segments.duration", self.duration, 1))
+        _check_scales(self, "trace.segments")
 
 
 @dataclass(frozen=True)
@@ -125,8 +142,7 @@ class TraceSpec:
             raise ConfigError("trace.path: required when trace.kind is 'csv'")
         if self.kind == "nonstationary" and not self.segments:
             raise ConfigError("trace.segments: required when trace.kind is 'nonstationary'")
-        if min(self.cycles_scale, self.bits_scale, self.distortion_scale) <= 0:
-            raise ConfigError("trace scale factors must be positive")
+        _check_scales(self, "trace")
 
     def base_params(self):
         """Generator params for the stationary regime (first segment when
@@ -157,10 +173,12 @@ class LearnerSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"learner.algorithm: {self.algorithm!r} not in {ALGORITHMS}")
-        if self.psi < 0:
-            raise ConfigError("learner.psi: must be >= 0")
+        for name, low in (("psi", 0), ("window_len", 1)):
+            object.__setattr__(self, name, _integer(f"learner.{name}", getattr(self, name), low))
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("learner.lam: must be in [0, 1]")
+        if not _is_real(self.smoothing) or not 0.0 <= self.smoothing < 1.0:
+            raise ConfigError(f"learner.smoothing: must be in [0, 1), got {self.smoothing!r}")
         self.schedule()  # fail at load time on a bad schedule
 
     def schedule(self) -> LearningSchedule:
@@ -216,14 +234,7 @@ class OracleSpec:
             if not _is_real(value) or not 0.0 < value < float("inf"):
                 raise ConfigError(f"oracle.{name}: must be positive and finite, got {value!r}")
         for name, low in (("estimation_units", 1), ("estimation_seed", 0)):
-            value = getattr(self, name)
-            if not _is_real(value) or not float(value).is_integer() or value < low:
-                raise ConfigError(f"oracle.{name}: must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            object.__setattr__(self, name, _integer(f"oracle.{name}", getattr(self, name), low))
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import (
-    FactoredModel,
-    LazyTable,
-    LearningSchedule,
-    ModelError,
-    TransitionModel,
-    epsilon_greedy,
-    q_update,
-    value_iteration,
-)
-from .system import ExperienceTuple, Simulator, SystemConfig, buffer_step, utility_gain
+from .mdp import LazyTable, LearningSchedule, epsilon_greedy, q_update
+from .system import Simulator, SystemConfig
 
 
 class PolicyError(ValueError):
@@ -250,37 +241,6 @@ class BestResponseLearner:
         return self.q.max(axis=1)
 
 
-def virtual_et_expand(et: ExperienceTuple, cfg: SystemConfig) -> list[ExperienceTuple]:
-    """All statistically equivalent tuples of one slot, one per buffer level.
-
-    The arrival distribution depends on (f, z, h) but not on the occupancy, so
-    the observed arrivals, costs, and realized (f', z') transfer to every
-    level; only the occupancy-dependent parts (gain, next occupancy) are
-    recomputed. The member at the actual occupancy reproduces the actual tuple
-    bit-for-bit.
-    """
-    fi, zi, _ = et.state
-    fi_next, zi_next, _ = et.next_state
-    out = []
-    for level in range(cfg.capacity + 1):
-        occupancy_next, _ = buffer_step(level, et.arrivals, cfg.capacity)
-        gain = utility_gain(level, et.arrivals, cfg.capacity, cfg.gain_mode)
-        reward = gain - cfg.power_weight * et.cost_os - cfg.rd_weight * et.cost_app
-        out.append(
-            ExperienceTuple(
-                state=(fi, zi, level),
-                action=et.action,
-                reward=reward,
-                next_state=(fi_next, zi_next, occupancy_next),
-                arrivals=et.arrivals,
-                gain=gain,
-                cost_os=et.cost_os,
-                cost_app=et.cost_app,
-            )
-        )
-    return out
-
-
 def _draw_virtual_levels(
     actual_occupancy: int, capacity: int, psi: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -290,48 +250,6 @@ def _draw_virtual_levels(
     else:
         picks = rng.choice(capacity, size=psi, replace=False)
     return picks + (picks >= actual_occupancy)
-
-
-def virtual_et_update(
-    q: np.ndarray,
-    visits: np.ndarray,
-    expanded: list[ExperienceTuple],
-    actual_occupancy: int,
-    psi: int,
-    schedule: LearningSchedule,
-    rng: np.random.Generator,
-    n_types: int,
-    n_levels: int,
-    n_configs: int,
-) -> list[float]:
-    """Backup the actual tuple, then psi uniformly drawn virtual ones.
-
-    `expanded` is the output of virtual_et_expand ordered by buffer level.
-    Updates are sequential, so later backups see earlier ones through the
-    shared table. psi greater than the number of virtual candidates is
-    clamped with a warning; psi=0 is exactly the centralized update. Returns
-    the TD errors in application order.
-    """
-    capacity = len(expanded) - 1
-    if psi > capacity:
-        warnings.warn(f"psi={psi} exceeds the {capacity} virtual candidates; clamping")
-        psi = capacity
-    gamma = schedule.gamma
-    order = [actual_occupancy]
-    if psi > 0:
-        order.extend(int(v) for v in _draw_virtual_levels(actual_occupancy, capacity, psi, rng))
-    deltas = []
-    for level in order:
-        et = expanded[level]
-        fi, zi, lv = et.state
-        s = (fi * n_types + zi) * n_levels + lv
-        fi2, zi2, q2 = et.next_state
-        s_next = (fi2 * n_types + zi2) * n_levels + q2
-        a = et.action[0] * n_configs + et.action[1]
-        alpha = schedule.alpha_at(visits[s, a])
-        deltas.append(q_update(q, s, a, et.reward, s_next, alpha, gamma))
-        visits[s, a] += 1
-    return deltas
 
 
 class VirtualExperienceLearner(CentralizedQLearner):
@@ -359,14 +277,15 @@ class VirtualExperienceLearner(CentralizedQLearner):
         return delta
 
     def _virtual_updates(self, s: int, a: int, s_next: int, sim: Simulator) -> None:
-        # Inline equivalent of virtual_et_expand + virtual_et_update for the
-        # selected levels only; tests pin the equivalence bit for bit. The
-        # backups of one slot write only column a of the (f, z) block and read
-        # rows of the (f', z') block, so that column and the next rows' maxima
-        # over the other columns are read once, the backups run on Python
-        # floats in draw order, and the column is written back. When the two
-        # blocks coincide, next_col is col and later backups see earlier ones.
-        # raw is buffer_step's unclamped level; the gains are utility_gain's.
+        # Inline equivalent of the virtual-tuple reference (virtual_et_expand
+        # + virtual_et_update in tests/reference.py) for the selected levels
+        # only; tests pin the equivalence bit for bit. The backups of one slot
+        # write only column a of the (f, z) block and read rows of the
+        # (f', z') block, so that column and the next rows' maxima over the
+        # other columns are read once, the backups run on Python floats in
+        # draw order, and the column is written back. When the two blocks
+        # coincide, next_col is col and later backups see earlier ones. raw
+        # is buffer_step's unclamped level; the gains are utility_gain's.
         cfg = self.cfg
         q_actual = sim.q
         base = s - q_actual
@@ -630,50 +549,3 @@ class FixedPolicyController:
 
     def state_values(self):
         return self.values
-
-
-def decomposed_tables(factors: FactoredModel, gamma: float, tol: float = 1e-8):
-    """Oracle layered tables from the joint optimum.
-
-    Returns (inner, outer, q_star): inner[s, a2, s1'] folds the high-layer
-    reward and expectation over s2' into the optimal V; outer[s, a1, a2] folds
-    the low-layer cost and expectation over s1' into inner. outer reshaped
-    over actions equals q_star up to the value-iteration tolerance.
-    """
-    q_star, _, v = value_iteration(factors, gamma, tol)
-    n1, m1, _ = factors.p_low.shape
-    n2, m2 = factors.n_states // n1, factors.p_buffer.shape[2]
-    high = factors.high_expectation(v).transpose(0, 1, 3, 2, 4).reshape(n1, n2, m2, n1)
-    inner = (
-        (factors.gain - factors.weight_high * factors.cost_high[None, :, :])[:, :, :, None]
-        + gamma * high
-    )
-    outer = -factors.weight_low * factors.cost_low[:, None, :, None] + np.einsum(
-        "ikj,ixmj->ixkm", factors.p_low, inner
-    )
-    n_states = n1 * n2
-    return (
-        inner.reshape(n_states, m2, n1),
-        outer.reshape(n_states, m1, m2),
-        q_star,
-    )
-
-
-def decomposition_check(
-    model: TransitionModel, factors: FactoredModel, gamma: float, tol: float = 1e-8
-) -> float:
-    """Max |Q reassembled through the layered identities - joint Q*|.
-
-    The factored model must describe the same MDP as `model` (checked to
-    1e-9); the returned discrepancy is bounded by the value-iteration
-    tolerance, not by the factorization.
-    """
-    joint = factors.to_joint()
-    if joint.p.shape != model.p.shape or joint.r.shape != model.r.shape:
-        raise ModelError("factored model dimensions do not match the joint model")
-    p_err = float(np.abs(joint.p - model.p).max())
-    r_err = float(np.abs(joint.r - model.r).max())
-    if p_err > 1e-9 or r_err > 1e-9:
-        raise ModelError(f"factors inconsistent with joint model (p {p_err:.2e}, r {r_err:.2e})")
-    _, outer, q_star = decomposed_tables(factors, gamma, tol)
-    return float(np.abs(outer.reshape(q_star.shape) - q_star).max())

@@ -5,14 +5,15 @@ and factored: a low-layer factor, a type chain and a buffer factor), and the
 tabular learning primitives (epsilon-greedy selection, one-step Q updates,
 value iteration, stationary distributions). The solvers see a model only
 through `validate`, `r`, `expected_next` (action-major) and `policy_step`
-(mu -> mu P_pi), so they run on either representation. Nothing in this module
-knows about the concrete encoder/frequency system; states and actions are
-integer indices.
+(mu -> mu P_pi), so they run on either representation. The dense expansion
+of a factored model, `joint_model`, is a test reference in tests/reference.py.
+Nothing in this module knows about the concrete encoder/frequency system;
+states and actions are integer indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,25 +211,6 @@ class FactoredModel:
         out = self.p_low[:, None] @ high.transpose(0, 1, 3, 2)
         return out.reshape(n1, nz, m1, m2, n_levels).transpose(2, 3, 0, 1, 4).reshape(m1 * m2, -1)
 
-    def _p_high(self, i, m) -> np.ndarray:
-        """p(s2'|s1 = i, s2, a2 = m) as (..., n2, n2), i and m broadcast against
-        the n2 states s2; each entry is one product p_type * p_buffer."""
-        nz, n_levels = self.p_type.shape[0], self.p_buffer.shape[3]
-        z, q = np.divmod(np.arange(nz * n_levels), n_levels)
-        buffer = self.p_buffer[i, z, m, q]                # (..., n2, L)
-        high = self.p_type[z][..., :, None] * buffer[..., None, :]
-        return high.reshape(high.shape[:-2] + (nz * n_levels,))
-
-    def policy_chain(self, policy: np.ndarray) -> np.ndarray:
-        """The (S, S) policy chain; entries are the same products as in to_joint()."""
-        n1, m2 = self.p_low.shape[0], self.p_buffer.shape[2]
-        n2 = self.n_states // n1
-        k, m = np.divmod(np.asarray(policy).reshape(n1, n2), m2)
-        i = np.arange(n1)[:, None]
-        low = self.p_low[i, k]          # (n1, n2, n1): p_low[i, k(i, x), j]
-        high = self._p_high(i, m)       # (n1, n2, n2): p_high[i, x, m(i, x), y]
-        return (low[:, :, :, None] * high[:, :, None, :]).reshape(n1 * n2, n1 * n2)
-
     def policy_step(self, policy: np.ndarray):
         """mu -> mu P_pi on the factors; the policy's p_low rows (n1, nz, L, n1) and p_buffer
         rows (n1, nz, L, L) are gathered once, and a step is one batched matmul over (s1, z)."""
@@ -243,17 +225,6 @@ class FactoredModel:
             out = self.p_type.T @ flow.reshape(nz, n1 * n_levels)
             return out.reshape(nz, n1, n_levels).transpose(1, 0, 2).ravel()
         return step
-
-    def to_joint(self) -> TransitionModel:
-        """The dense model of the same MDP (a test reference for small instances)."""
-        n1, m2 = self.p_low.shape[0], self.p_buffer.shape[2]
-        p_high = self._p_high(np.arange(n1)[:, None, None], np.arange(m2)[:, None])
-        p = np.einsum("ikj,imxy->ixkmjy", self.p_low, p_high)
-        return TransitionModel(
-            p=np.ascontiguousarray(p.reshape(self.n_states, self.n_actions, self.n_states)),
-            r=self.r,
-        )
-
 
 @dataclass
 class LearningSchedule:

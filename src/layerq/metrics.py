@@ -124,13 +124,6 @@ class RunStats:
         }
 
 
-def cumulative_average(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("expected a 1-D array")
-    return np.cumsum(values) / np.arange(1, values.size + 1)
-
-
 def weighted_estimation_error(
     reference: np.ndarray, values: np.ndarray, weights: np.ndarray
 ) -> float:

@@ -38,15 +38,16 @@ def _downsample(x: np.ndarray, y: np.ndarray, max_points: int = MAX_POINTS):
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> np.ndarray:
-    """Round tick positions on a 1-2-5 ladder covering [lo, hi]."""
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise ValueError("axis range must be finite")
+    """Round tick positions on a 1-2-5 ladder covering [lo, hi]. An end, the
+    span or the outer ticks past the largest float raise a ValueError."""
     steps = max(target - 1, 1)
     # A span too narrow for a normal-float tick step is drawn like a flat one.
     if hi - lo < steps * np.finfo(float).tiny:
         pad = abs(lo) * 0.1 or 0.5
         lo, hi = lo - pad, hi + pad
-    raw = (hi - lo) / steps
+    raw = (hi - lo) / steps  # NaN or inf if an end is, or if the span overflows
+    if not math.isfinite(raw):
+        raise ValueError("axis range must be finite")
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -54,6 +55,8 @@ def _ticks(lo: float, hi: float, target: int = 6) -> np.ndarray:
             break
     first = math.floor(lo / step) * step
     last = math.ceil(hi / step) * step
+    if not math.isfinite(last - first):
+        raise ValueError("axis range must be finite")
     n = int(round((last - first) / step)) + 1
     return first + step * np.arange(n)
 

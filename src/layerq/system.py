@@ -9,8 +9,9 @@ switch that succeeds with probability switch_prob, and a Markov chain over
 data-unit types. The stage reward is a buffer-occupancy utility gain minus
 weighted power and rate-distortion costs.
 
-`step` is the value-level reference operation; `Simulator` is the index-level
-equivalent used by the learning loops (equivalence is covered by tests).
+`Simulator` runs the slot for the learning loops, on state and action
+indices. Its value-level reference, `step` in tests/reference.py, is kept
+with the tests that pin the two together.
 """
 
 from __future__ import annotations
@@ -137,66 +138,6 @@ class SystemConfig:
             raise ValueError(f"config {config!r} not in {self.configs}") from None
 
 
-@dataclass(frozen=True)
-class GlobalState:
-    frequency: float  # Hz, member of SystemConfig.frequencies
-    unit_type: str
-    occupancy: int
-
-
-@dataclass(frozen=True)
-class GlobalAction:
-    command: float  # commanded frequency in Hz
-    config: str
-
-
-@dataclass(frozen=True)
-class StageOutcome:
-    """Everything observed in one slot; reward = gain - w_os*J1 - w_app*J2."""
-
-    reward: float
-    utility_gain: float
-    cost_os: float
-    cost_app: float
-    arrivals: int
-    processing_delay: float
-    overflow_count: int
-    next_state: GlobalState
-
-
-@dataclass(slots=True)
-class ExperienceTuple:
-    """Index-level record of one slot, the input of the virtual-experience
-    reference (virtual_et_expand, virtual_et_update).
-
-    state/next_state are (freq_idx, type_idx, occupancy); action is
-    (command_idx, config_idx). arrivals is the realized floor(t * eta), kept
-    so the tuple can be extrapolated to other buffer levels.
-    """
-
-    state: tuple[int, int, int]
-    action: tuple[int, int]
-    reward: float
-    next_state: tuple[int, int, int]
-    arrivals: int
-    gain: float
-    cost_os: float
-    cost_app: float
-
-
-def power_cost(cfg: SystemConfig, frequency: float) -> float:
-    """Power in watts at an operating frequency from the configured set."""
-    cfg.freq_index(frequency)  # membership check
-    return cfg.power_coeff * frequency**cfg.power_exp
-
-
-def app_cost(cfg: SystemConfig, sample, config_idx: int) -> float:
-    """Rate-distortion Lagrangian d + rd_lambda * b for one configuration."""
-    if not 0 <= config_idx < len(sample.bits):
-        raise ValueError(f"sample has no data for config index {config_idx}")
-    return float(sample.distortion[config_idx]) + cfg.rd_lambda * float(sample.bits[config_idx])
-
-
 def buffer_step(occupancy: int, arrivals: int, capacity: int) -> tuple[int, int]:
     """One buffer recursion: depart one unit, admit `arrivals`, clamp to [0, capacity].
 
@@ -225,57 +166,6 @@ def utility_gain(occupancy: int, arrivals: int, capacity: int, mode: str = "prop
     if mode == "conventional":
         return 1.0 if level <= capacity else float(capacity - level)
     raise ValueError(f"unknown gain mode {mode!r}")
-
-
-def step(
-    cfg: SystemConfig,
-    state: GlobalState,
-    action: GlobalAction,
-    sample,
-    rng: np.random.Generator,
-) -> StageOutcome:
-    """Advance the system one slot (value-level reference implementation).
-
-    Draw order is fixed: frequency-switch success first, then the next unit
-    type. The sample must describe a unit of the current state's type.
-    """
-    if sample.unit_type != state.unit_type:
-        raise ValueError(
-            f"sample type {sample.unit_type!r} does not match state type {state.unit_type!r}"
-        )
-    if state.frequency <= 0:
-        raise ValueError("state frequency must be positive")
-    cfg.freq_index(action.command)  # membership check
-    config_idx = cfg.config_index(action.config)
-
-    cycles = float(sample.cycles[config_idx])
-    delay = cycles / state.frequency
-    arrivals = int(delay * cfg.arrival_rate)
-    j_os = power_cost(cfg, state.frequency)
-    j_app = app_cost(cfg, sample, config_idx)
-    occupancy_next, overflow = buffer_step(state.occupancy, arrivals, cfg.capacity)
-    gain = utility_gain(state.occupancy, arrivals, cfg.capacity, cfg.gain_mode)
-    reward = gain - cfg.power_weight * j_os - cfg.rd_weight * j_app
-
-    freq_next = action.command if rng.random() < cfg.switch_prob else state.frequency
-    row = cfg.type_transition[cfg.type_index(state.unit_type)]
-    draw = rng.random()
-    type_next = 0
-    bound = row[0]  # running cumulative sum, the same sums as np.cumsum(row)
-    while type_next < len(row) - 1 and draw >= bound:
-        type_next += 1
-        bound += row[type_next]
-
-    return StageOutcome(
-        reward=reward,
-        utility_gain=gain,
-        cost_os=j_os,
-        cost_app=j_app,
-        arrivals=arrivals,
-        processing_delay=delay,
-        overflow_count=overflow,
-        next_state=GlobalState(freq_next, cfg.unit_types[type_next], occupancy_next),
-    )
 
 
 class Simulator:
@@ -468,7 +358,8 @@ def assemble_factored_model(cfg: SystemConfig, dynamics: EmpiricalDynamics) -> F
     and the buffer factors of all (frequency, type, config) cells.
 
     Low-layer states are frequency indices; high-layer states are
-    type_idx * (capacity+1) + occupancy. to_joint() of the result matches
+    type_idx * (capacity+1) + occupancy. Expanded to a dense model
+    (joint_model in tests/reference.py), the result matches
     assemble_transition_model up to float round-off.
     """
     dynamics.validate(cfg)

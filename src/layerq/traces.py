@@ -307,11 +307,6 @@ class ReplaySource:
         return rows[cursor]
 
 
-def sample_at(samples: list[TraceSample], n: int) -> TraceSample:
-    """Whole-trace replay rule: index past the end wraps to the start."""
-    return samples[n % len(samples)]
-
-
 def _expected_header(n_configs: int) -> list[str]:
     cols = ["n", "z"]
     for h in range(1, n_configs + 1):
@@ -412,29 +407,6 @@ def synth_columns(
             if n
         }
     )
-
-
-def synth_nonstationary(segments, z_sequence, rng: np.random.Generator) -> list[TraceSample]:
-    """Piecewise-stationary trace; segments cycle if the sequence outlives them."""
-    if not segments:
-        raise ValueError("need at least one segment")
-    segments = [(int(d), p) for d, p in segments]
-    if any(d <= 0 for d, _ in segments):
-        raise ValueError("segment durations must be positive")
-    z_sequence = list(z_sequence)
-    out: list[TraceSample] = []
-    start = 0
-    seg = 0
-    while start < len(z_sequence):
-        duration, params = segments[seg % len(segments)]
-        stop = min(start + duration, len(z_sequence))
-        chunk = synth_stationary(params, z_sequence[start:stop], rng)
-        for i, s in enumerate(chunk):
-            s.index = start + i
-        out.extend(chunk)
-        start = stop
-        seg += 1
-    return out
 
 
 def empirical_arrival_distribution(

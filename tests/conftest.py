@@ -11,7 +11,6 @@ import numpy as np
 
 from layerq import (
     EmpiricalDynamics,
-    ExperienceTuple,
     GeneratorParams,
     Simulator,
     StationarySource,
@@ -91,21 +90,6 @@ def small_sim(seed: int, cfg: SystemConfig = None, params: GeneratorParams = Non
     rng = np.random.default_rng(seed)
     source = StationarySource(params, cfg.unit_types, rng)
     return Simulator(cfg, source, rng), rng
-
-
-def slot_tuple(sim: Simulator) -> ExperienceTuple:
-    """The ExperienceTuple of the slot `sim` last ran, read from its attributes,
-    for the references that take one (virtual_et_expand, step() replays)."""
-    return ExperienceTuple(
-        state=(sim.f, sim.z, sim.q),
-        action=(sim.u, sim.h),
-        reward=sim.reward,
-        next_state=(sim.freq_idx, sim.type_idx, sim.occupancy),
-        arrivals=sim.arrivals,
-        gain=sim.gain,
-        cost_os=sim.j1,
-        cost_app=sim.j2,
-    )
 
 
 class FakeRng:

@@ -48,6 +48,7 @@ from layerq import (
 )
 from layerq.cli import _parse_horizon, _parse_seeds, _setup_logging, main
 from layerq.experiments import OracleResult
+from reference import joint_model
 
 
 def merge(base: dict, extra: dict) -> dict:
@@ -429,7 +430,7 @@ def test_oracle_matches_dense_solve(default_oracle):
     iteration on the joint tensor: same policy, Q* and V* to 1e-12, and the
     weights to 1e-12."""
     gamma = config_from_dict({}).learner.gamma
-    joint = default_oracle.model.to_joint()
+    joint = joint_model(default_oracle.model)
     q, policy, v = value_iteration(joint, gamma, tol=1e-8)
     assert np.array_equal(policy, default_oracle.policy)
     assert np.abs(q - default_oracle.q_star).max() <= 1e-12
@@ -593,6 +594,52 @@ def test_oracle_integral_settings_accept_integral_floats():
     spec = config_from_dict({"oracle": {"estimation_units": 3000.0, "estimation_seed": 5.0}}).oracle
     assert (spec.estimation_units, spec.estimation_seed) == (3000, 5)
     assert type(spec.estimation_units) is int and type(spec.estimation_seed) is int
+
+
+@pytest.mark.parametrize("value", [2.5, float("nan"), -1, True])
+def test_bad_psi_is_config_error(value):
+    """A fractional psi made td-lambda nudge every eligible pair, NaN ran
+    virtual-et as psi=0, and 2.5 stopped virtual-et mid-run with a TypeError."""
+    with pytest.raises(ConfigError, match="learner.psi: must be an integer >= 0"):
+        config_from_dict({"learner": {"algorithm": "virtual-et", "psi": value}})
+
+
+@pytest.mark.parametrize("value", [0, 2.5, float("nan")])
+def test_bad_window_len_is_config_error(value):
+    """0 raised IndexError and 2.5 TypeError mid-run in the grace controller."""
+    with pytest.raises(ConfigError, match="learner.window_len: must be an integer >= 1"):
+        config_from_dict({"learner": {"algorithm": "grace", "window_len": value}})
+
+
+@pytest.mark.parametrize("value", [float("nan"), 1.0, -0.1])
+def test_bad_smoothing_is_config_error(value):
+    """A bad smoothing failed only when the grace controller was built, with
+    a message that did not name the field."""
+    with pytest.raises(ConfigError, match=r"learner.smoothing: must be in \[0, 1\)"):
+        config_from_dict({"learner": {"algorithm": "grace", "smoothing": value}})
+
+
+def test_learner_integral_fields_accept_integral_floats():
+    spec = config_from_dict({"learner": {"psi": 4.0, "window_len": 16.0}}).learner
+    assert (spec.psi, spec.window_len) == (4, 16)
+    assert type(spec.psi) is int and type(spec.window_len) is int
+
+
+@pytest.mark.parametrize("trace, message", [
+    ({"bits_scale": float("nan")}, "trace.bits_scale: must be positive and finite"),
+    ({"cycles_scale": float("inf")}, "trace.cycles_scale: must be positive and finite"),
+    ({"kind": "nonstationary", "segments": [{"duration": 5, "distortion_scale": float("nan")}]},
+     "trace.segments.distortion_scale: must be positive and finite"),
+    ({"kind": "nonstationary", "segments": [{"duration": 5, "cycles_scale": float("inf")}]},
+     "trace.segments.cycles_scale: must be positive and finite"),
+    ({"kind": "nonstationary", "segments": [{"duration": 2.5}]},
+     "trace.segments.duration: must be an integer >= 1"),
+])
+def test_bad_trace_numbers_are_config_errors(trace, message):
+    """A NaN bits_scale gave a NaN mean reward with no error, and an infinite
+    cycles_scale stopped the run with an OverflowError."""
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"trace": trace})
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import slot_tuple, small_config, small_sim
+from conftest import small_config, small_sim
 from layerq import (
     BestResponseLearner,
     CentralizedQLearner,
@@ -34,6 +34,7 @@ from layerq import (
     epsilon_greedy,
     q_update,
 )
+from reference import slot_tuple
 
 SEEDS = st.integers(0, 2**32 - 1)
 GAIN_MODES = st.sampled_from(["proposed", "conventional"])

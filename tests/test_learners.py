@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeRng, slot_tuple, small_config, small_dynamics, small_params, small_sim
+from conftest import FakeRng, small_config, small_dynamics, small_params, small_sim
 from layerq import (
     CENTRALIZED_MESSAGES,
     LAYERED_MESSAGES,
@@ -16,15 +16,12 @@ from layerq import (
     FactoredModel,
     FixedPolicyController,
     GeneratorParams,
-    GlobalAction,
-    GlobalState,
     GraceController,
     GraceState,
     LayeredQLearner,
     LayeredQTables,
     LazyTable,
     LearningSchedule,
-    ModelError,
     PolicyError,
     Simulator,
     StationarySource,
@@ -35,14 +32,19 @@ from layerq import (
     assemble_factored_model,
     assemble_transition_model,
     buffer_step,
-    decomposed_tables,
-    decomposition_check,
     default_generator_params,
     epsilon_greedy,
     layered_update,
-    step,
     td_lambda_step,
     utility_gain,
+)
+from reference import (
+    GlobalAction,
+    GlobalState,
+    decomposed_tables,
+    joint_model,
+    slot_tuple,
+    step,
     virtual_et_expand,
     virtual_et_update,
 )
@@ -231,37 +233,32 @@ def test_decomposed_tables_gamma_zero():
     assert np.abs(outer.reshape(q_star.shape) - q_star).max() <= 1e-12
 
 
+def identity_gap(factors: FactoredModel, gamma: float = 0.9) -> float:
+    """max |Q reassembled through the layered identities - joint Q*|."""
+    _, outer, q_star = decomposed_tables(factors, gamma)
+    return float(np.abs(outer.reshape(q_star.shape) - q_star).max())
+
+
+def assert_factors_match_dense(cfg, dyn):
+    """The factors of (cfg, dyn), after asserting they describe the same MDP as the dense assembly."""
+    factors = assemble_factored_model(cfg, dyn)
+    joint, model = joint_model(factors), assemble_transition_model(cfg, dyn)
+    assert np.abs(joint.p - model.p).max() <= 1e-9
+    assert np.abs(joint.r - model.r).max() <= 1e-9
+    return factors
+
+
 def test_decomposition_check_small_instance():
-    cfg = small_config()
-    dyn = small_dynamics()
-    model = assemble_transition_model(cfg, dyn)
-    factors = assemble_factored_model(cfg, dyn)
-    assert decomposition_check(model, factors, gamma=0.9) <= 1e-6
-
-
-def test_decomposition_check_rejects_mismatch():
-    cfg = small_config()
-    dyn = small_dynamics()
-    model = assemble_transition_model(cfg, dyn)
-    factors = assemble_factored_model(cfg, dyn)
-    factors.gain = factors.gain + 1e-3
-    with pytest.raises(ModelError):
-        decomposition_check(model, factors, gamma=0.9)
-    one_freq = small_config(frequencies=(4e8,))
-    small_factors = assemble_factored_model(
-        one_freq, EmpiricalDynamics(dyn.arrival_pmf[1:], dyn.mean_rd_cost)
-    )
-    with pytest.raises(ModelError):
-        decomposition_check(model, small_factors, gamma=0.9)
+    factors = assert_factors_match_dense(small_config(), small_dynamics())
+    assert identity_gap(factors) <= 1e-6
 
 
 def test_decomposition_degenerate_low_layer():
     """With one frequency the layered split is trivial but must still hold."""
     cfg = small_config(frequencies=(4e8,))
     dyn = EmpiricalDynamics(small_dynamics().arrival_pmf[1:], small_dynamics().mean_rd_cost)
-    model = assemble_transition_model(cfg, dyn)
-    factors = assemble_factored_model(cfg, dyn)
-    assert decomposition_check(model, factors, gamma=0.9) <= 1e-6
+    factors = assert_factors_match_dense(cfg, dyn)
+    assert identity_gap(factors) <= 1e-6
 
 
 def random_factors(rng, n1=2, nz=2, n_levels=2, m1=2, m2=2) -> FactoredModel:
@@ -287,7 +284,7 @@ def random_factors(rng, n1=2, nz=2, n_levels=2, m1=2, m2=2) -> FactoredModel:
 def test_decomposition_random_factored_mdps():
     for seed in (0, 1, 2):
         factors = random_factors(np.random.default_rng(seed))
-        assert decomposition_check(factors.to_joint(), factors, gamma=0.9) <= 1e-6
+        assert identity_gap(factors) <= 1e-6
 
 
 def test_virtual_expand_members():

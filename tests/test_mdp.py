@@ -21,6 +21,7 @@ from layerq import (
     stationary_distribution,
     value_iteration,
 )
+from reference import factored_policy_chain, joint_model
 
 
 def random_model(rng, n_states=4, n_actions=3) -> TransitionModel:
@@ -245,7 +246,7 @@ def test_stationary_is_fixed_point_of_damped_chain():
 )
 @settings(max_examples=40, deadline=None)
 def test_factored_policy_step_matches_chain(seed, n1, nz, n_levels, m1, m2):
-    """The factored mu -> mu P_pi equals mu @ policy_chain(policy) for random
+    """The factored mu -> mu P_pi equals mu @ factored_policy_chain for random
     policies and distributions, and the stationary solve built on it returns
     a fixed point of the damped dense chain."""
     rng = np.random.default_rng(seed)
@@ -253,7 +254,7 @@ def test_factored_policy_step_matches_chain(seed, n1, nz, n_levels, m1, m2):
     policy = rng.integers(factors.n_actions, size=factors.n_states)
     mu = rng.random(factors.n_states)
     mu /= mu.sum()
-    chain = factors.policy_chain(policy)
+    chain = factored_policy_chain(factors, policy)
     assert np.abs(factors.policy_step(policy)(mu) - mu @ chain).max() <= 1e-14
     damping = 1e-6
     w = stationary_distribution(factors, policy, tol=1e-12, damping=damping)
@@ -290,14 +291,14 @@ def test_stationary_policy_validation():
 
 def test_factored_model_ops_match_joint():
     factors = random_factored(np.random.default_rng(4), n1=3, nz=2, n_levels=2, m1=2, m2=3)
-    joint = factors.to_joint()
+    joint = joint_model(factors)
     assert (factors.n_states, factors.n_actions) == (joint.n_states, joint.n_actions) == (12, 6)
     v = np.random.default_rng(5).normal(size=12)
     assert factors.expected_next(v).shape == (6, 12)
     assert np.abs(factors.expected_next(v) - joint.expected_next(v)).max() <= 1e-14
     policy = np.random.default_rng(6).integers(6, size=12)
-    # the policy chain holds the very products that to_joint() stores
-    assert np.array_equal(factors.policy_chain(policy), joint.policy_chain(policy))
+    # the policy chain holds the very products that joint_model stores
+    assert np.array_equal(factored_policy_chain(factors, policy), joint.policy_chain(policy))
     assert np.array_equal(factors.r, joint.r)
 
 
@@ -324,11 +325,11 @@ def test_factored_high_expectation_matches_product():
 @settings(max_examples=40, deadline=None)
 def test_factored_solve_matches_dense(seed, n1, nz, n_levels, m1, m2):
     """Value iteration and the stationary solve on the factors agree with the
-    dense solve of to_joint(): Q* and V* to 1e-12 with the same policy, the
+    dense solve of joint_model: Q* and V* to 1e-12 with the same policy, the
     policy chain bit for bit under that policy, and the weights to 1e-12 (the
     factored step sums in another order than the dense chain's)."""
     factors = random_factored(np.random.default_rng(seed), n1, nz, n_levels, m1, m2)
-    joint = factors.to_joint()
+    joint = joint_model(factors)
     v = np.random.default_rng(seed + 1).normal(size=factors.n_states)
     assert np.abs(factors.expected_next(v) - joint.expected_next(v)).max() <= 1e-14
     # tol well under 1e-12: where the two solves stop one backup apart, their
@@ -338,7 +339,7 @@ def test_factored_solve_matches_dense(seed, n1, nz, n_levels, m1, m2):
     assert np.abs(q_f - q_d).max() <= 1e-12
     assert np.abs(v_f - v_d).max() <= 1e-12
     assert np.array_equal(pol_f, pol_d)
-    assert np.array_equal(factors.policy_chain(pol_f), joint.policy_chain(pol_d))
+    assert np.array_equal(factored_policy_chain(factors, pol_f), joint.policy_chain(pol_d))
     w_f = stationary_distribution(factors, pol_f)
     w_d = stationary_distribution(joint, pol_d)
     assert np.abs(w_f - w_d).max() <= 1e-12

@@ -7,7 +7,6 @@ from layerq import (
     LearningSchedule,
     RunStats,
     UndefinedStateError,
-    cumulative_average,
     error_curve,
     weighted_estimation_error,
 )
@@ -132,14 +131,6 @@ def test_checkpoints_skipped_without_values():
         stats.log_slot(sim, grace.step(sim))
         stats.maybe_checkpoint(grace)
     assert stats.checkpoints == []  # controller exposes no value estimates
-
-
-def test_cumulative_average_shapes():
-    x = np.array([1.0, 3.0, 5.0])
-    assert np.allclose(cumulative_average(x), [1.0, 2.0, 3.0])
-    assert cumulative_average(np.array([])).size == 0
-    with pytest.raises(ValueError):
-        cumulative_average(np.zeros((2, 2)))
 
 
 def test_weighted_estimation_error_cases():

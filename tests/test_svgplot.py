@@ -64,6 +64,15 @@ def test_validation(tmp_path):
         line_chart([("bad", np.array([0.0, np.inf]), np.array([0.0, 1.0]))], path)
 
 
+@pytest.mark.parametrize("y", [[-1e308, 1e308], [0.0, 1.7e308], [1.7e308, 1.7e308]])
+def test_axis_past_the_largest_float_is_rejected(tmp_path, y):
+    """A span, a padded flat range or outer ticks beyond the largest float
+    raised OverflowError from the tick ladder; each is the non-finite-range
+    ValueError."""
+    with pytest.raises(ValueError, match="axis range must be finite"):
+        line_chart([("huge", np.arange(2.0), np.array(y))], str(tmp_path / "huge.svg"))
+
+
 def test_constant_series_renders(tmp_path):
     x = np.arange(10, dtype=float)
     root = render(tmp_path, [("flat", x, np.full(10, 2.5))])

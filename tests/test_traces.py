@@ -17,10 +17,8 @@ from layerq import (
     default_generator_params,
     empirical_arrival_distribution,
     load_csv,
-    sample_at,
     save_csv,
     synth_columns,
-    synth_nonstationary,
     synth_stationary,
 )
 
@@ -152,12 +150,6 @@ def test_replay_source_cycles_per_type():
         ReplaySource(make_rows(["P", "P"]), ("P", "B"))
 
 
-def test_sample_at_wraps():
-    rows = make_rows(["P", "B", "P"])
-    assert sample_at(rows, 1) is rows[1]
-    assert sample_at(rows, 5) is rows[2]
-
-
 def test_csv_round_trip(tmp_path):
     params = small_params()
     samples = synth_stationary(params, ["P", "B"] * 10, np.random.default_rng(4))
@@ -232,18 +224,6 @@ def test_synth_stationary_metadata():
     again = synth_stationary(small_params(), labels, np.random.default_rng(6))
     for a, b in zip(samples, again):
         assert np.array_equal(a.cycles, b.cycles)
-
-
-def test_synth_nonstationary_boundary_and_cycling():
-    segments = [(3, point_params(4e6, 4e6)), (2, point_params(9e6, 9e6))]
-    samples = synth_nonstationary(segments, ["P"] * 12, np.random.default_rng(0))
-    cycles = [s.cycles[0] for s in samples]
-    assert cycles == [4e6] * 3 + [9e6] * 2 + [4e6] * 3 + [9e6] * 2 + [4e6] * 2
-    assert [s.index for s in samples] == list(range(12))
-    with pytest.raises(ValueError):
-        synth_nonstationary([], ["P"], np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        synth_nonstationary([(0, point_params())], ["P"], np.random.default_rng(0))
 
 
 def test_empirical_arrivals_match_scalar_floors():
