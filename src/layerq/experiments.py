@@ -144,16 +144,49 @@ class TraceSpec:
             raise ConfigError("trace.segments: required when trace.kind is 'nonstationary'")
         _check_scales(self, "trace")
 
+    def params(self):
+        """The default generator params scaled by the trace's factors, and per
+        segment (duration, those params scaled again by the segment's)."""
+        base = default_generator_params().scaled(
+            self.cycles_scale, self.bits_scale, self.distortion_scale
+        )
+        return base, [
+            (seg.duration, base.scaled(seg.cycles_scale, seg.bits_scale, seg.distortion_scale))
+            for seg in self.segments
+        ]
+
     def base_params(self):
         """Generator params for the stationary regime (first segment when
         non-stationary); the oracle is estimated against these."""
-        params = default_generator_params().scaled(
-            self.cycles_scale, self.bits_scale, self.distortion_scale
+        base, segments = self.params()
+        return segments[0][1] if self.kind == "nonstationary" else base
+
+
+# Cap on the mean arrivals per slot at the lowest frequency that a trace or
+# segment scale may give. The arrival pmf keeps a bin per count, so the
+# oracle's memory and time grow with the arrivals (the default's heaviest cell
+# means about 18); at the cap, any practical buffer overflows nearly every slot.
+MAX_MEAN_ARRIVALS = 1000.0
+
+
+def _check_generator(params, system: SystemConfig, section: str) -> None:
+    """A ConfigError naming the scale of `section` ("trace.segments[1]", say)
+    that makes a mean or sd of `params` non-finite, or their mean arrivals per
+    slot at the lowest frequency exceed MAX_MEAN_ARRIVALS."""
+    cells = [cell for row in params.per_type.values() for cell in row]
+    for name, moments in (
+        ("cycles_scale", [c.cycles_mean for c in cells]),
+        ("bits_scale", [m for c in cells for m in (c.bits_mean, c.bits_sd)]),
+        ("distortion_scale", [m for c in cells for m in (c.distortion_mean, c.distortion_sd)]),
+    ):
+        if not np.isfinite(moments).all():
+            raise ConfigError(f"{section}.{name}: the scaled generator's means and sds must be finite")
+    arrivals = max(c.cycles_mean for c in cells) / system.frequencies[0] * system.arrival_rate
+    if arrivals > MAX_MEAN_ARRIVALS:
+        raise ConfigError(
+            f"{section}.cycles_scale: {arrivals:.4g} mean arrivals per slot at the lowest frequency "
+            f"(with system.arrival_rate {system.arrival_rate:g}), above the cap of {MAX_MEAN_ARRIVALS:g}"
         )
-        if self.kind == "nonstationary":
-            seg = self.segments[0]
-            return params.scaled(seg.cycles_scale, seg.bits_scale, seg.distortion_scale)
-        return params
 
 
 @dataclass(frozen=True)
@@ -253,6 +286,14 @@ class ExperimentConfig:
     oracle: OracleSpec = field(default_factory=OracleSpec)
     outputs: OutputSpec = field(default_factory=OutputSpec)
 
+    def __post_init__(self):
+        if self.trace.kind == "csv":  # the file's units, not the generator, are the workload
+            return
+        base, segments = self.trace.params()
+        _check_generator(base, self.system, "trace")
+        for i, (_, params) in enumerate(segments):
+            _check_generator(params, self.system, f"trace.segments[{i}]")
+
     @property
     def label(self) -> str:
         return self.name or self.learner.algorithm
@@ -327,15 +368,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
         return value
 
-    return {
-        "name": cfg.name,
-        "system": plain(cfg.system),
-        "trace": plain(cfg.trace),
-        "learner": plain(cfg.learner),
-        "run": plain(cfg.run),
-        "oracle": plain(cfg.oracle),
-        "outputs": plain(cfg.outputs),
-    }
+    return plain(cfg)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -356,37 +389,36 @@ def make_source(cfg: ExperimentConfig, rng: np.random.Generator):
     unit_types = cfg.system.unit_types
     if trace.kind == "csv":
         return ReplaySource(_load_trace(cfg), unit_types)
-    base = default_generator_params().scaled(
-        trace.cycles_scale, trace.bits_scale, trace.distortion_scale
-    )
+    base, segments = trace.params()
     if trace.kind == "synthetic":
         return StationarySource(base, unit_types, rng)
-    segments = [
-        (seg.duration, base.scaled(seg.cycles_scale, seg.bits_scale, seg.distortion_scale))
-        for seg in trace.segments
-    ]
     return NonstationarySource(segments, unit_types, rng)
 
 
-def _type_walk(system: SystemConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Type indices of the unit-type Markov chain over n steps from type 0
-    (used for estimation traces, so every type that the chain reaches gets
-    observations).
+# Draws per chunk of the estimation trace's type walk.
+TYPE_WALK_CHUNK = 4096
 
-    Uses the Simulator.slot rule: the next type is the first whose cumulative
-    probability exceeds the draw, clamped to the last type.
+
+def _type_counts(system: SystemConfig, n: int, rng: np.random.Generator) -> list[int]:
+    """Units of each type in n steps of the unit-type chain from type 0: the
+    estimation trace's type mix, in which every type the chain reaches gets
+    observations. The next type follows the Simulator.slot rule: the first
+    whose cumulative probability exceeds the draw, clamped to the last type.
+    The walk is never held; its uniforms come in chunks, and successive
+    rng.random(k) calls give the same stream as one rng.random(n).
     """
     cum = np.cumsum(system.type_matrix(), axis=1)
-    draws = rng.random(n)
     last = len(system.unit_types) - 1
-    # next_of[z][i]: the type after z under draw i
-    next_of = [np.minimum(np.searchsorted(row, draws, side="right"), last).tolist() for row in cum]
-    walk = [0] * n
+    counts = [0] * len(system.unit_types)
     z = 0
-    for i in range(n):
-        walk[i] = z
-        z = next_of[z][i]
-    return np.array(walk, dtype=np.intp)
+    for start in range(0, n, TYPE_WALK_CHUNK):
+        draws = rng.random(min(TYPE_WALK_CHUNK, n - start))
+        # next_of[z][i]: the type after z under draw i
+        next_of = [np.minimum(np.searchsorted(row, draws, side="right"), last).tolist() for row in cum]
+        for i in range(len(draws)):
+            counts[z] += 1
+            z = next_of[z][i]
+    return counts
 
 
 @dataclass
@@ -405,22 +437,24 @@ def compute_oracle(cfg: ExperimentConfig) -> OracleResult:
     """Estimation trace -> empirical dynamics -> factored model -> value
     iteration -> stationary distribution of the optimal policy.
 
-    For csv traces the file itself is the estimation trace; synthetic traces
-    are drawn as columns from the stationary generator params (first segment
-    when non-stationary) over a fresh type-chain walk.
+    For csv traces the file itself is the estimation trace. Synthetic traces
+    are streamed: a fresh type-chain walk only counts each type's units, then
+    each type's columns are drawn from the stationary generator params (first
+    segment when non-stationary) and reduced into the dynamics before the next
+    type is drawn, so neither the walk nor the whole trace is ever held.
     """
     system = cfg.system
     spec = cfg.oracle
     if cfg.trace.kind == "csv":
         trace = _load_trace(cfg)
+        n_units = len(trace)
     else:
         rng = np.random.default_rng(spec.estimation_seed)
-        walk = _type_walk(system, spec.estimation_units, rng)
-        trace = synth_columns(cfg.trace.base_params(), system.unit_types, walk, rng)
-    logger.info("oracle: estimating dynamics from %d units", len(trace))
-    dynamics = empirical_arrival_distribution(
-        trace, system, min_samples=min(10_000, len(trace))
-    )
+        n_units = spec.estimation_units
+        counts = _type_counts(system, n_units, rng)
+        trace = synth_columns(cfg.trace.base_params(), system.unit_types, counts, rng)
+    logger.info("oracle: estimating dynamics from %d units", n_units)
+    dynamics = empirical_arrival_distribution(trace, system, min_samples=min(10_000, n_units))
     model = assemble_factored_model(system, dynamics)
     logger.info("oracle: value iteration (gamma=%g, tol=%g)", cfg.learner.gamma, spec.vi_tol)
     q_star, policy, values = value_iteration(model, cfg.learner.gamma, tol=spec.vi_tol)
@@ -639,38 +673,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     for r in runs:
         curve = r.stats.cumulative_mean_reward()
         reward_series.append((f"seed {r.seed}", np.arange(1, curve.size + 1), curve))
-    path = out / "reward.svg"
-    line_chart(
-        reward_series,
-        str(path),
-        title=f"{cfg.label}: cumulative average reward",
-        x_label="slot",
-        y_label="average reward",
-    )
-    files.append(str(path))
-
     error_series = [(f"seed {r.seed}", *c) for r, c in zip(runs, error_curves) if c is not None]
-    if error_series:
-        path = out / "error.svg"
-        line_chart(
-            error_series,
-            str(path),
-            title=f"{cfg.label}: weighted estimation error",
-            x_label="slot",
-            y_label="weighted error",
-        )
-        files.append(str(path))
-
+    files += _write_charts(out, reward_series, error_series, prefix=f"{cfg.label}: ")
     return ExperimentResult(cfg, oracle, runs, str(out), files)
+
+
+def _write_charts(out: Path, reward_series, error_series, prefix="", suffix="") -> list[str]:
+    """reward.svg, and error.svg when there are error curves, each titled
+    prefix + what it shows + suffix; returns their paths."""
+    files = []
+    for name, series, what, y_label in (
+        ("reward.svg", reward_series, "cumulative average reward", "average reward"),
+        ("error.svg", error_series, "weighted estimation error", "weighted error"),
+    ):
+        if series:
+            path = out / name
+            line_chart(series, str(path), title=prefix + what + suffix, x_label="slot", y_label=y_label)
+            files.append(str(path))
+    return files
 
 
 def _require_shared_settings(configs: list[ExperimentConfig]) -> None:
     base = configs[0]
-    base_sys = config_to_dict(base)["system"]
-    base_trace = config_to_dict(base)["trace"]
     for cfg in configs[1:]:
-        d = config_to_dict(cfg)
-        if d["system"] != base_sys or d["trace"] != base_trace:
+        if cfg.system != base.system or cfg.trace != base.trace:
             raise ComparisonError(
                 f"experiment {cfg.label!r} does not share system/trace settings with "
                 f"{base.label!r}; comparisons require a common environment"
@@ -722,29 +748,9 @@ def compare_experiments(configs: list[ExperimentConfig], out_dir) -> list[Experi
             errors = np.stack([e for _, e in error_curves]).mean(axis=0)
             error_series.append((label, error_curves[0][0], errors))
 
-    files = []
     path = out / "comparison.csv"
     write_summary_csv(path, all_rows)
-    files.append(str(path))
-    path = out / "reward.svg"
-    line_chart(
-        reward_series,
-        str(path),
-        title="cumulative average reward (mean over seeds)",
-        x_label="slot",
-        y_label="average reward",
-    )
-    files.append(str(path))
-    if error_series:
-        path = out / "error.svg"
-        line_chart(
-            error_series,
-            str(path),
-            title="weighted estimation error (mean over seeds)",
-            x_label="slot",
-            y_label="weighted error",
-        )
-        files.append(str(path))
+    files = [str(path), *_write_charts(out, reward_series, error_series, suffix=" (mean over seeds)")]
     for res in results:
         res.files = files
     return results

@@ -119,24 +119,6 @@ class SystemConfig:
     def type_matrix(self) -> np.ndarray:
         return np.array(self.type_transition)
 
-    def freq_index(self, frequency: float) -> int:
-        try:
-            return self.frequencies.index(frequency)
-        except ValueError:
-            raise ValueError(f"frequency {frequency!r} not in {self.frequencies}") from None
-
-    def type_index(self, unit_type: str) -> int:
-        try:
-            return self.unit_types.index(unit_type)
-        except ValueError:
-            raise ValueError(f"unit type {unit_type!r} not in {self.unit_types}") from None
-
-    def config_index(self, config: str) -> int:
-        try:
-            return self.configs.index(config)
-        except ValueError:
-            raise ValueError(f"config {config!r} not in {self.configs}") from None
-
 
 def buffer_step(occupancy: int, arrivals: int, capacity: int) -> tuple[int, int]:
     """One buffer recursion: depart one unit, admit `arrivals`, clamp to [0, capacity].

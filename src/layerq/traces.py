@@ -9,8 +9,11 @@ piecewise-stationary in the non-stationary regime.
 The type sequence itself is not produced here: the simulator owns the type
 Markov chain and asks a source for the next sample of a given type.
 
-Estimation traces are held as columns (`TraceColumns`: per type, one array
-row per unit); `TraceSample` objects are kept for CSV files and replay.
+Estimation traces are columns, one (bits, distortion, cycles) triple of
+(n_units, n_configs) arrays per type. `synth_columns` draws them lazily, one
+type at a time, and `empirical_arrival_distribution` reduces each type before
+the next is drawn, so the oracle never holds a whole estimation trace.
+`TraceSample` objects are kept for CSV files and replay.
 """
 
 from __future__ import annotations
@@ -57,24 +60,12 @@ class TraceColumns:
 
     by_type: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def __len__(self) -> int:
-        return sum(len(cols[0]) for cols in self.by_type.values())
-
     @classmethod
     def from_samples(cls, samples: list[TraceSample]) -> "TraceColumns":
-        groups: dict[str, list[TraceSample]] = {}
+        rows: dict[str, list[tuple]] = {}
         for s in samples:
-            groups.setdefault(s.unit_type, []).append(s)
-        return cls(
-            {
-                label: (
-                    np.array([s.bits for s in group]),
-                    np.array([s.distortion for s in group]),
-                    np.array([s.cycles for s in group]),
-                )
-                for label, group in groups.items()
-            }
-        )
+            rows.setdefault(s.unit_type, []).append((s.bits, s.distortion, s.cycles))
+        return cls({label: tuple(np.array(col) for col in zip(*group)) for label, group in rows.items()})
 
 
 @dataclass(frozen=True)
@@ -392,65 +383,78 @@ def synth_stationary(params: GeneratorParams, z_sequence, rng: np.random.Generat
     return samples  # type: ignore[return-value]
 
 
-def synth_columns(
-    params: GeneratorParams, unit_types, type_indices: np.ndarray, rng: np.random.Generator
-) -> TraceColumns:
-    """Columnar synth_stationary for a type sequence given as indices into
-    unit_types: the same draws in the same order (labels sorted, then cells in
-    config order), so it consumes rng exactly as synth_stationary does on the
-    matching labels and yields the same values."""
-    counts = np.bincount(type_indices, minlength=len(unit_types)).tolist()
-    return TraceColumns(
-        {
-            label: _draw_cells(params.for_type(label), n, rng)
-            for label, n in sorted(zip(unit_types, counts))
-            if n
-        }
-    )
+def synth_columns(params: GeneratorParams, unit_types, counts, rng: np.random.Generator):
+    """Lazy columnar synth_stationary for a sequence with counts[i] units of
+    unit_types[i]: yields (label, (bits, distortion, cycles)) per type with
+    units, each drawn only when asked for, with synth_stationary's draws in
+    its order (labels sorted, then cells in config order), so the rng use and
+    the values are the same."""
+    for label, n in sorted(zip(unit_types, counts)):
+        if n:
+            yield label, _draw_cells(params.for_type(label), n, rng)
 
 
 def empirical_arrival_distribution(
-    trace: list[TraceSample] | TraceColumns,
-    cfg: SystemConfig,
-    min_samples: int = 10_000,
+    trace, cfg: SystemConfig, min_samples: int = 10_000
 ) -> EmpiricalDynamics:
     """Estimate per-(frequency, type, config) arrival-count pmfs and mean costs.
 
+    trace is a list of TraceSample, a TraceColumns, or any iterable of
+    (label, (bits, distortion, cycles)) such as synth_columns yields. Each
+    type is reduced to its binned arrival counts and mean cost before the
+    next is read, so a lazy stream holds one type's columns at a time.
     Arrival counts are floor(cycles / f * arrival_rate) with the same
     operation order as the simulator, so the floors agree bit-for-bit. Units
     of types outside cfg.unit_types are ignored.
     """
-    if len(trace) < min_samples:
-        raise ValueError(f"trace has {len(trace)} samples, need >= {min_samples}")
-    nf = len(cfg.frequencies)
-    nz = len(cfg.unit_types)
-    nh = len(cfg.configs)
-    if not isinstance(trace, TraceColumns):
+    nf, nz, nh = len(cfg.frequencies), len(cfg.unit_types), len(cfg.configs)
+    if isinstance(trace, list) and trace and isinstance(trace[0], TraceSample):
         for s in trace:
             if len(s.bits) != nh:
                 raise TraceError(f"sample {s.index} has {len(s.bits)} configs, expected {nh}")
         trace = TraceColumns.from_samples(trace)
-    missing = [
-        (label, h) for label in cfg.unit_types if label not in trace.by_type for h in cfg.configs
-    ]
-    if missing:
-        raise CoverageError(f"no observations for cells {missing}")
+    if isinstance(trace, TraceColumns):
+        trace = trace.by_type.items()
 
-    # One cell's arrival counts at a time, binned at once: holding every
-    # cell's counts would take n_units * n_configs * n_freqs int64s.
+    type_index = {label: zi for zi, label in enumerate(cfg.unit_types)}
+    # Each (frequency, config) cell is binned as its counts are made, through
+    # one reused buffer: holding every cell's counts would take
+    # n_units * n_configs * n_freqs int64s.
     binned: dict[tuple[int, int, int], np.ndarray] = {}
     mean_rd = np.zeros((nz, nh))
     sample_counts = np.zeros(nz, dtype=int)
-    for zi, label in enumerate(cfg.unit_types):
-        bits, dist, cycles = trace.by_type[label]
+    n_units = 0
+    for label, (bits, dist, cycles) in trace:
+        n_units += len(bits)
+        zi = type_index.get(label)
+        if zi is None:
+            continue
         if bits.shape[1] != nh:
             raise TraceError(f"type {label!r} has {bits.shape[1]} configs, expected {nh}")
         sample_counts[zi] = len(bits)
-        mean_rd[zi] = (dist + cfg.rd_lambda * bits).mean(axis=0)
+        # lambda * bits + dist: IEEE addition commutes, so this is the
+        # simulator's dist + lambda * bits to the bit
+        rd = np.multiply(bits, cfg.rd_lambda)
+        rd += dist
+        mean_rd[zi] = rd.mean(axis=0)
+        del rd  # before the binning buffers are made
+        scaled = np.empty(len(cycles))
+        counts = np.empty(len(cycles), dtype=np.int64)
         for fi, f in enumerate(cfg.frequencies):
-            counts = np.floor(cycles / f * cfg.arrival_rate).astype(np.int64)
             for hi in range(nh):
-                binned[fi, zi, hi] = np.bincount(counts[:, hi])
+                np.divide(cycles[:, hi], f, out=scaled)
+                np.multiply(scaled, cfg.arrival_rate, out=scaled)
+                np.floor(scaled, out=counts, casting="unsafe")
+                binned[fi, zi, hi] = np.bincount(counts)
+        del bits, dist, cycles  # before the stream draws the next type
+
+    if n_units < min_samples:
+        raise ValueError(f"trace has {n_units} samples, need >= {min_samples}")
+    missing = [
+        (label, h) for label, n in zip(cfg.unit_types, sample_counts) if not n for h in cfg.configs
+    ]
+    if missing:
+        raise CoverageError(f"no observations for cells {missing}")
 
     pmf = np.zeros((nf, nz, nh, max(b.size for b in binned.values())))
     for (fi, zi, hi), b in binned.items():

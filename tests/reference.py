@@ -4,7 +4,10 @@ None of these runs in the pipeline; each is the plain, value-level or dense
 form of something the package computes another way:
 
 - `step` is one slot at the value level (frequencies in Hz, type labels,
-  config names), the reference for `Simulator.slot`;
+  config names), the reference for `Simulator.slot`, with the lookups
+  `freq_index`, `type_index` and `config_index` from values to indices;
+- `type_walk` is the estimation trace's whole type sequence, walked from one
+  array of draws, the reference for the oracle's chunked type counts;
 - `ExperienceTuple`, `virtual_et_expand` and `virtual_et_update` are the
   virtual-tuple reference for `VirtualExperienceLearner`'s inlined backups;
 - `decomposed_tables` builds the oracle's per-layer tables, whose outer table
@@ -61,9 +64,30 @@ class StageOutcome:
     next_state: GlobalState
 
 
+def freq_index(cfg: SystemConfig, frequency: float) -> int:
+    try:
+        return cfg.frequencies.index(frequency)
+    except ValueError:
+        raise ValueError(f"frequency {frequency!r} not in {cfg.frequencies}") from None
+
+
+def type_index(cfg: SystemConfig, unit_type: str) -> int:
+    try:
+        return cfg.unit_types.index(unit_type)
+    except ValueError:
+        raise ValueError(f"unit type {unit_type!r} not in {cfg.unit_types}") from None
+
+
+def config_index(cfg: SystemConfig, config: str) -> int:
+    try:
+        return cfg.configs.index(config)
+    except ValueError:
+        raise ValueError(f"config {config!r} not in {cfg.configs}") from None
+
+
 def power_cost(cfg: SystemConfig, frequency: float) -> float:
     """Power in watts at an operating frequency from the configured set."""
-    cfg.freq_index(frequency)  # membership check
+    freq_index(cfg, frequency)  # membership check
     return cfg.power_coeff * frequency**cfg.power_exp
 
 
@@ -92,8 +116,8 @@ def step(
         )
     if state.frequency <= 0:
         raise ValueError("state frequency must be positive")
-    cfg.freq_index(action.command)  # membership check
-    config_idx = cfg.config_index(action.config)
+    freq_index(cfg, action.command)  # membership check
+    config_idx = config_index(cfg, action.config)
 
     cycles = float(sample.cycles[config_idx])
     delay = cycles / state.frequency
@@ -105,7 +129,7 @@ def step(
     reward = gain - cfg.power_weight * j_os - cfg.rd_weight * j_app
 
     freq_next = action.command if rng.random() < cfg.switch_prob else state.frequency
-    row = cfg.type_transition[cfg.type_index(state.unit_type)]
+    row = cfg.type_transition[type_index(cfg, state.unit_type)]
     draw = rng.random()
     type_next = 0
     bound = row[0]  # running cumulative sum, the same sums as np.cumsum(row)
@@ -123,6 +147,20 @@ def step(
         overflow_count=overflow,
         next_state=GlobalState(freq_next, cfg.unit_types[type_next], occupancy_next),
     )
+
+
+def type_walk(system: SystemConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Type indices of n steps of the unit-type chain from type 0, from one
+    rng.random(n): the next type is the first whose cumulative probability
+    exceeds the draw, clamped to the last type (the Simulator.slot rule)."""
+    cum = np.cumsum(system.type_matrix(), axis=1)
+    last = len(system.unit_types) - 1
+    walk = np.empty(n, dtype=np.intp)
+    z = 0
+    for i, draw in enumerate(rng.random(n)):
+        walk[i] = z
+        z = min(int(np.searchsorted(cum[z], draw, side="right")), last)
+    return walk
 
 
 @dataclass(slots=True)

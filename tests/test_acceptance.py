@@ -33,7 +33,16 @@ from layerq import (
     value_iteration,
     weighted_estimation_error,
 )
-from reference import GlobalAction, GlobalState, decomposed_tables, slot_tuple, step, virtual_et_expand
+from reference import (
+    GlobalAction,
+    GlobalState,
+    decomposed_tables,
+    freq_index,
+    slot_tuple,
+    step,
+    type_index,
+    virtual_et_expand,
+)
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -270,8 +279,8 @@ def test_virtual_tuples_match_forced_steps():
             state_ok = (
                 out.arrivals == et.arrivals
                 and out.next_state.occupancy == member.next_state[2]
-                and cfg.freq_index(out.next_state.frequency) == member.next_state[0]
-                and cfg.type_index(out.next_state.unit_type) == member.next_state[1]
+                and freq_index(cfg, out.next_state.frequency) == member.next_state[0]
+                and type_index(cfg, out.next_state.unit_type) == member.next_state[1]
             )
             exact_states = exact_states and state_ok
             worst_reward = max(worst_reward, abs(out.reward - member.reward))

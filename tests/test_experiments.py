@@ -1,5 +1,6 @@
 import csv
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from layerq import (
 )
 from layerq.cli import _parse_horizon, _parse_seeds, _setup_logging, main
 from layerq.experiments import OracleResult
-from reference import joint_model
+from reference import joint_model, type_walk
 
 
 def merge(base: dict, extra: dict) -> dict:
@@ -443,34 +444,75 @@ def test_oracle_matches_dense_solve(default_oracle):
 
 
 class ScriptedRng:
+    """Serves a fixed stream of uniforms through successive random(k) calls,
+    as a Generator does."""
+
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=float)
+        self.used = 0
 
     def random(self, n):
-        assert n == len(self.draws)
-        return self.draws
+        out = self.draws[self.used : self.used + n]
+        assert len(out) == n, "asked for more draws than scripted"
+        self.used += n
+        return out
 
 
-def test_type_walk_follows_simulator_rule():
+def test_type_walk_follows_simulator_rule(monkeypatch):
     system = SystemConfig()
     draws = np.random.default_rng(9).random(2000)
-    walk = experiments._type_walk(system, len(draws), ScriptedRng(draws))
+    expected = [0] * len(system.unit_types)
     z = 0
-    for i, draw in enumerate(draws):
-        assert walk[i] == z
+    for draw in draws:
+        expected[z] += 1
         row = np.cumsum(system.type_transition[z])
         z = 0
         while z < len(row) - 1 and draw >= row[z]:
             z += 1
+    for chunk in (experiments.TYPE_WALK_CHUNK, 7):  # one call, then 286
+        monkeypatch.setattr(experiments, "TYPE_WALK_CHUNK", chunk)
+        rng = ScriptedRng(draws)
+        assert experiments._type_counts(system, len(draws), rng) == expected
+        assert rng.used == len(draws)
 
 
-def test_type_walk_clamps_to_last_type():
+def test_type_walk_clamps_to_last_type(monkeypatch):
     # a row that passes validation but sums to 1 - 5e-10
     system = SystemConfig(
         unit_types=("P", "B"), type_transition=((0.5, 0.4999999995), (0.5, 0.5))
     )
-    walk = experiments._type_walk(system, 3, ScriptedRng([0.9999999999] * 3))
-    assert walk.tolist() == [0, 1, 1]
+    monkeypatch.setattr(experiments, "TYPE_WALK_CHUNK", 2)
+    counts = experiments._type_counts(system, 3, ScriptedRng([0.9999999999] * 3))
+    assert counts == [1, 2]  # the walk P, B, B
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_type_counts_across_chunk_boundary(offset):
+    """n just below, at and just above the chunk size: the chunked counts
+    equal the bincount of the scalar walk over one rng.random(n), and both
+    leave the generator at the same point of its stream."""
+    system = SystemConfig()
+    chunk = experiments.TYPE_WALK_CHUNK
+    n = chunk + offset
+    rng_counts, rng_walk = np.random.default_rng(31), np.random.default_rng(31)
+    counts = experiments._type_counts(system, n, rng_counts)
+    walk = type_walk(system, n, rng_walk)
+    assert counts == np.bincount(walk, minlength=len(system.unit_types)).tolist()
+    assert rng_counts.random() == rng_walk.random()
+
+
+def test_oracle_estimation_peak_memory():
+    """The estimation is streamed: the traced allocation peak of the default
+    oracle stays under 10 MB (holding the whole type walk and estimation
+    trace peaked at 15.4 MB)."""
+    cfg = config_from_dict({})
+    tracemalloc.start()
+    try:
+        compute_oracle(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, f"compute_oracle peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("field, value", [
@@ -634,12 +676,39 @@ def test_learner_integral_fields_accept_integral_floats():
      "trace.segments.cycles_scale: must be positive and finite"),
     ({"kind": "nonstationary", "segments": [{"duration": 2.5}]},
      "trace.segments.duration: must be an integer >= 1"),
+    ({"cycles_scale": 1e305}, r"trace\.cycles_scale: the scaled generator's means and sds must be finite"),
+    ({"bits_scale": 1e308}, r"trace\.bits_scale: the scaled generator's means and sds must be finite"),
+    ({"distortion_scale": 1e308}, r"trace\.distortion_scale: the scaled generator's means and sds must be finite"),
+    ({"kind": "nonstationary", "bits_scale": 1e154, "segments": [{"duration": 5}, {"duration": 5, "bits_scale": 1e154}]},
+     r"trace\.segments\[1\]\.bits_scale: the scaled generator's means and sds must be finite"),
+    ({"cycles_scale": 100}, r"trace\.cycles_scale: 1782 mean arrivals per slot at the lowest frequency .* cap of 1000"),
+    ({"kind": "nonstationary", "cycles_scale": 10, "segments": [{"duration": 5}, {"duration": 5, "cycles_scale": 10}]},
+     r"trace\.segments\[1\]\.cycles_scale: 1782 mean arrivals per slot"),
 ])
 def test_bad_trace_numbers_are_config_errors(trace, message):
     """A NaN bits_scale gave a NaN mean reward with no error, and an infinite
-    cycles_scale stopped the run with an OverflowError."""
+    cycles_scale stopped the run with an OverflowError. So did finite scales
+    that overflow the generator: a cycles_scale of 1e305 raised an
+    OverflowError mid-run, and bits and distortion scales of 1e308 gave a NaN
+    mean reward. Scales whose mean arrivals per slot pass the cap would grow
+    the estimated pmf, one bin per count, without bound. All fail at load."""
     with pytest.raises(ConfigError, match=message):
         config_from_dict({"trace": trace})
+
+
+def test_trace_scales_up_to_the_arrival_cap_are_accepted():
+    heaviest = max(c.cycles_mean for row in default_generator_params().per_type.values() for c in row)
+    system = SystemConfig()
+    at_cap = experiments.MAX_MEAN_ARRIVALS / (heaviest / system.frequencies[0] * system.arrival_rate)
+    assert config_from_dict({"trace": {"cycles_scale": at_cap * 0.999}}).trace.cycles_scale < at_cap
+    with pytest.raises(ConfigError, match="trace.cycles_scale"):
+        config_from_dict({"trace": {"cycles_scale": at_cap * 1.001}})
+    # the arrivals scale with the arrival rate too
+    with pytest.raises(ConfigError, match=r"trace\.cycles_scale: 1215 mean arrivals .* system\.arrival_rate 3000"):
+        config_from_dict({"system": {"arrival_rate": 3000.0}})
+    # a csv trace does not use the generator, so its scales are not checked against it
+    csv_trace = {"kind": "csv", "path": "trace.csv", "cycles_scale": 100}
+    assert config_from_dict({"system": {"arrival_rate": 3000.0}, "trace": csv_trace}).trace.kind == "csv"
 
 
 @pytest.mark.parametrize(

@@ -42,9 +42,11 @@ from reference import (
     GlobalAction,
     GlobalState,
     decomposed_tables,
+    freq_index,
     joint_model,
     slot_tuple,
     step,
+    type_index,
     virtual_et_expand,
     virtual_et_update,
 )
@@ -344,8 +346,8 @@ def test_virtual_expand_matches_forced_step():
         assert out.reward == member.reward
         assert out.utility_gain == member.gain
         assert out.next_state.occupancy == member.next_state[2]
-        assert cfg.freq_index(out.next_state.frequency) == fi2
-        assert cfg.type_index(out.next_state.unit_type) == zi2
+        assert freq_index(cfg, out.next_state.frequency) == fi2
+        assert type_index(cfg, out.next_state.unit_type) == zi2
 
 
 def expanded_fixture(cfg):

@@ -20,7 +20,17 @@ from layerq import (
     utility_gain,
 )
 from layerq.system import _buffer_factors
-from reference import GlobalAction, GlobalState, app_cost, joint_model, power_cost, step
+from reference import (
+    GlobalAction,
+    GlobalState,
+    app_cost,
+    config_index,
+    freq_index,
+    joint_model,
+    power_cost,
+    step,
+    type_index,
+)
 
 
 def make_sample(unit_type="P", bits=(60.0, 75.0, 90.0), dist=(10.0, 12.0, 13.5), cycles=(45e6, 14e6, 7e6)):
@@ -265,8 +275,8 @@ def test_simulator_matches_step():
         out = step(cfg, state, GlobalAction(cfg.frequencies[ui], cfg.configs[hi]), sample, rng)
         assert out.reward == slot_rewards[t]
         next_idx = (
-            cfg.freq_index(out.next_state.frequency),
-            cfg.type_index(out.next_state.unit_type),
+            freq_index(cfg, out.next_state.frequency),
+            type_index(cfg, out.next_state.unit_type),
             out.next_state.occupancy,
         )
         assert (next_idx, out.arrivals, out.overflow_count) == slot_states[t]
@@ -438,13 +448,13 @@ def test_system_config_validation():
 
 def test_config_index_helpers():
     cfg = SystemConfig()
-    assert cfg.freq_index(600e6) == 2
-    assert cfg.type_index("I") == 2
-    assert cfg.config_index("h3") == 2
+    assert freq_index(cfg, 600e6) == 2
+    assert type_index(cfg, "I") == 2
+    assert config_index(cfg, "h3") == 2
     for call in (
-        lambda: cfg.freq_index(123.0),
-        lambda: cfg.type_index("Q"),
-        lambda: cfg.config_index("h7"),
+        lambda: freq_index(cfg, 123.0),
+        lambda: type_index(cfg, "Q"),
+        lambda: config_index(cfg, "h7"),
     ):
         with pytest.raises(ValueError):
             call()

@@ -275,19 +275,23 @@ def test_synth_columns_match_synth_stationary():
     rng_obj = np.random.default_rng(12)
     rng_col = np.random.default_rng(12)
     samples = synth_stationary(default_generator_params(), labels, rng_obj)
-    columns = synth_columns(default_generator_params(), unit_types, walk, rng_col)
+    counts = np.bincount(walk, minlength=3).tolist()
+    stream = synth_columns(default_generator_params(), unit_types, counts, rng_col)
+    untouched = rng_col.bit_generator.state
+    columns = dict(stream)
+    assert untouched != rng_col.bit_generator.state  # drawn as the stream is read
     assert rng_obj.random() == rng_col.random()  # both consumed the same stream
-    assert len(columns) == 500
-    assert sorted(columns.by_type) == ["B", "I", "P"]
+    assert list(columns) == ["B", "I", "P"]
+    assert sum(len(cols[0]) for cols in columns.values()) == 500
     for label in unit_types:
         rows = [s for s in samples if s.unit_type == label]
-        bits, dist, cyc = columns.by_type[label]
+        bits, dist, cyc = columns[label]
         assert np.array_equal(bits, np.array([s.bits for s in rows]))
         assert np.array_equal(dist, np.array([s.distortion for s in rows]))
         assert np.array_equal(cyc, np.array([s.cycles for s in rows]))
     # a type the sequence never reaches gets no columns and no draws
-    only_p = synth_columns(default_generator_params(), unit_types, np.zeros(4, dtype=int), rng_col)
-    assert list(only_p.by_type) == ["P"] and len(only_p) == 4
+    only_p = dict(synth_columns(default_generator_params(), unit_types, [4, 0, 0], rng_col))
+    assert list(only_p) == ["P"] and len(only_p["P"][0]) == 4
 
 
 def test_empirical_arrivals_from_columns_match_samples():
@@ -331,9 +335,13 @@ def test_empirical_arrivals_bin_one_cell_at_a_time(units, seed):
     """Binning each cell as its counts are made gives the reference's pmf, bit
     for bit and with the same support, the largest count over all cells."""
     cfg = SystemConfig()
-    rng = np.random.default_rng(seed)
-    walk = np.arange(units) % len(cfg.unit_types)
-    columns = synth_columns(default_generator_params(), cfg.unit_types, walk, rng)
+    counts = np.bincount(np.arange(units) % len(cfg.unit_types), minlength=len(cfg.unit_types))
+    columns = TraceColumns(
+        dict(synth_columns(default_generator_params(), cfg.unit_types, counts, np.random.default_rng(seed)))
+    )
     pmf = empirical_arrival_distribution(columns, cfg, min_samples=1).arrival_pmf
     ref = ref_arrival_pmf(columns, cfg)
     assert pmf.shape == ref.shape and pmf.tobytes() == ref.tobytes()
+    # the lazy stream, reduced type by type, gives the same bytes
+    stream = synth_columns(default_generator_params(), cfg.unit_types, counts, np.random.default_rng(seed))
+    assert empirical_arrival_distribution(stream, cfg, min_samples=1).arrival_pmf.tobytes() == ref.tobytes()
