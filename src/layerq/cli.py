@@ -48,10 +48,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _parse_horizon(text: str) -> int:
-    try:
-        return resolve_horizon(int(text))
-    except ValueError:
-        return resolve_horizon(text)
+    return resolve_horizon(int(text) if text.strip().isdigit() else text)
 
 
 def _apply_overrides(cfg, args):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,10 @@ from .learners import (
     TdLambdaLearner,
     VirtualExperienceLearner,
 )
-from .mdp import FactoredModel, LearningSchedule, stationary_distribution, value_iteration
+from .mdp import (
+    ConfigError, FactoredModel, LearningSchedule, check_value, ruled, stationary_distribution, validate,
+    value_iteration,
+)
 from .metrics import RunStats, error_curve
 from .svgplot import line_chart
 from .system import Simulator, SystemConfig, assemble_factored_model
@@ -49,10 +52,6 @@ from .system import assemble_transition_model  # noqa: F401
 from .traces import synth_stationary  # noqa: F401
 
 logger = logging.getLogger("layerq")
-
-
-class ConfigError(ValueError):
-    """Invalid or unparseable experiment configuration; names the field."""
 
 
 class ComparisonError(ValueError):
@@ -77,38 +76,7 @@ TRACE_KINDS = ("synthetic", "csv", "nonstationary")
 
 def resolve_horizon(value) -> int:
     """Accept a preset name or a positive slot count."""
-    if isinstance(value, str):
-        if value not in HORIZON_PRESETS:
-            raise ConfigError(
-                f"run.horizon: unknown preset {value!r}; presets are {sorted(HORIZON_PRESETS)}"
-            )
-        return HORIZON_PRESETS[value]
-    try:
-        horizon = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"run.horizon: expected an integer or preset, got {value!r}") from None
-    if horizon < 1:
-        raise ConfigError("run.horizon: must be >= 1")
-    return horizon
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _integer(name: str, value, low: int) -> int:
-    """value as an int; a ConfigError naming the field unless it is an integer >= low."""
-    # NaN and inf are not integers, so they are rejected with the rest.
-    if not _is_real(value) or not float(value).is_integer() or value < low:
-        raise ConfigError(f"{name}: must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _check_scales(spec, section: str) -> None:
-    for name in ("cycles_scale", "bits_scale", "distortion_scale"):
-        value = getattr(spec, name)
-        if not _is_real(value) or not 0.0 < value < float("inf"):
-            raise ConfigError(f"{section}.{name}: must be positive and finite, got {value!r}")
+    return RunSpec(horizon=value).horizon
 
 
 @dataclass(frozen=True)
@@ -116,33 +84,30 @@ class SegmentSpec:
     """One stationary stretch of a non-stationary trace, as scale factors
     applied to the default synthetic workload."""
 
-    duration: int
-    cycles_scale: float = 1.0
-    bits_scale: float = 1.0
-    distortion_scale: float = 1.0
+    duration: int = ruled(MISSING, int, "[1, inf)")
+    cycles_scale: float = ruled(1.0, float, "(0, inf)")
+    bits_scale: float = ruled(1.0, float, "(0, inf)")
+    distortion_scale: float = ruled(1.0, float, "(0, inf)")
 
     def __post_init__(self):
-        object.__setattr__(self, "duration", _integer("trace.segments.duration", self.duration, 1))
-        _check_scales(self, "trace.segments")
+        validate(self, "trace.segments")
 
 
 @dataclass(frozen=True)
 class TraceSpec:
-    kind: str = "synthetic"
-    path: str | None = None
-    cycles_scale: float = 1.0
-    bits_scale: float = 1.0
-    distortion_scale: float = 1.0
-    segments: tuple[SegmentSpec, ...] = ()
+    kind: str = ruled("synthetic", str, choices=TRACE_KINDS)
+    path: str | None = ruled(None, str, null=True)
+    cycles_scale: float = ruled(1.0, float, "(0, inf)")
+    bits_scale: float = ruled(1.0, float, "(0, inf)")
+    distortion_scale: float = ruled(1.0, float, "(0, inf)")
+    segments: tuple[SegmentSpec, ...] = ruled((), SegmentSpec, depth=1, empty=True)
 
     def __post_init__(self):
-        if self.kind not in TRACE_KINDS:
-            raise ConfigError(f"trace.kind: {self.kind!r} not in {TRACE_KINDS}")
+        validate(self, "trace")
         if self.kind == "csv" and not self.path:
             raise ConfigError("trace.path: required when trace.kind is 'csv'")
         if self.kind == "nonstationary" and not self.segments:
             raise ConfigError("trace.segments: required when trace.kind is 'nonstationary'")
-        _check_scales(self, "trace")
 
     def params(self):
         """The default generator params scaled by the trace's factors, and per
@@ -168,11 +133,21 @@ class TraceSpec:
 # means about 18); at the cap, any practical buffer overflows nearly every slot.
 MAX_MEAN_ARRIVALS = 1000.0
 
+# Cap on the bytes of the oracle's buffer factors, 8*nf*nz*nh*(capacity+1)**2:
+# its largest array, 0.94 MB at the default capacity of 50. The oracle's peak
+# memory is about 1.6 times the factors' size, and value iteration reads all
+# of them every sweep; at 231 MB (capacity 800) compute_oracle took 52 s and
+# peaked at 373 MB on a 2-core x86-64 machine. A capacity of 5000 would ask
+# for 9 GB.
+MAX_MODEL_BYTES = 256e6
 
-def _check_generator(params, system: SystemConfig, section: str) -> None:
+
+def _check_generator(params, cfg: ExperimentConfig, section: str) -> None:
     """A ConfigError naming the scale of `section` ("trace.segments[1]", say)
-    that makes a mean or sd of `params` non-finite, or their mean arrivals per
-    slot at the lowest frequency exceed MAX_MEAN_ARRIVALS."""
+    that makes a mean or sd of `params` non-finite, their mean arrivals per
+    slot at the lowest frequency exceed MAX_MEAN_ARRIVALS, or the run's summed
+    rate-distortion cost overflow a float."""
+    system = cfg.system
     cells = [cell for row in params.per_type.values() for cell in row]
     for name, moments in (
         ("cycles_scale", [c.cycles_mean for c in cells]),
@@ -187,162 +162,136 @@ def _check_generator(params, system: SystemConfig, section: str) -> None:
             f"{section}.cycles_scale: {arrivals:.4g} mean arrivals per slot at the lowest frequency "
             f"(with system.arrival_rate {system.arrival_rate:g}), above the cap of {MAX_MEAN_ARRIVALS:g}"
         )
+    # The heaviest cell's distortion and rd_lambda * bits, each at mean + 6 sd, bound a slot's cost.
+    distortion, bits = max(
+        ((c.distortion_mean + 6 * c.distortion_sd, system.rd_lambda * (c.bits_mean + 6 * c.bits_sd))
+         for c in cells),
+        key=sum,
+    )
+    total = system.rd_weight * (distortion + bits) * cfg.run.horizon
+    if total > np.finfo(float).max:
+        raise ConfigError(
+            f"{section}.{'distortion_scale' if distortion >= bits else 'bits_scale'}: must keep "
+            "rd_weight * the heaviest cell's rate-distortion cost * run.horizon finite, got "
+            f"{total:.4g} over {cfg.run.horizon} slots"
+        )
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    algorithm: str = "centralized"
+    """The learner section. Its schedule fields (gamma through alpha_exponent)
+    are checked by LearningSchedule's rules, through schedule()."""
+
+    algorithm: str = ruled("centralized", str, choices=ALGORITHMS)
     gamma: float = 0.9
     epsilon: float = 0.1
     epsilon_rule: str = "constant"
     alpha_rule: str = "visit-decay"
     alpha: float = 0.1
     alpha_exponent: float = 0.6
-    psi: int = 15
-    lam: float = 0.8
-    window_len: int = 32
-    smoothing: float = 0.9
+    psi: int = ruled(15, int, "[0, inf)")
+    lam: float = ruled(0.8, float, "[0, 1]")
+    window_len: int = ruled(32, int, "[1, inf)")
+    smoothing: float = ruled(0.9, float, "[0, 1)")
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"learner.algorithm: {self.algorithm!r} not in {ALGORITHMS}")
-        for name, low in (("psi", 0), ("window_len", 1)):
-            object.__setattr__(self, name, _integer(f"learner.{name}", getattr(self, name), low))
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError("learner.lam: must be in [0, 1]")
-        if not _is_real(self.smoothing) or not 0.0 <= self.smoothing < 1.0:
-            raise ConfigError(f"learner.smoothing: must be in [0, 1), got {self.smoothing!r}")
-        self.schedule()  # fail at load time on a bad schedule
+        validate(self, "learner")
+        self.schedule()
 
     def schedule(self) -> LearningSchedule:
-        try:
-            return LearningSchedule(
-                gamma=self.gamma,
-                epsilon=self.epsilon,
-                epsilon_rule=self.epsilon_rule,
-                alpha_rule=self.alpha_rule,
-                alpha=self.alpha,
-                alpha_exponent=self.alpha_exponent,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"learner: {exc}") from None
+        fields = dataclasses.fields(LearningSchedule)
+        return LearningSchedule(**{f.name: getattr(self, f.name) for f in fields})
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    horizon: int = 20_000
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    checkpoint_interval: int = 500
+    horizon: int = ruled(20_000, int, "[1, inf)", presets=HORIZON_PRESETS)
+    seeds: tuple[int, ...] = ruled((1, 2, 3, 4, 5), int, "[0, inf)", depth=1, distinct=True)
+    checkpoint_interval: int = ruled(500, int, "[1, inf)")
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", resolve_horizon(self.horizon))
-        try:
-            seeds = tuple(int(s) for s in self.seeds)
-        except (TypeError, ValueError):
-            raise ConfigError(f"run.seeds: expected integers, got {self.seeds!r}") from None
-        if not seeds:
-            raise ConfigError("run.seeds: need at least one seed")
-        seen = set()
-        for seed in seeds:
-            if seed in seen:
-                raise ConfigError(f"run.seeds: duplicate seed {seed}")
-            seen.add(seed)
-        object.__setattr__(self, "seeds", seeds)
-        if self.checkpoint_interval < 1:
-            raise ConfigError("run.checkpoint_interval: must be >= 1")
+        validate(self, "run")
 
 
 @dataclass(frozen=True)
 class OracleSpec:
-    enabled: bool = True
-    vi_tol: float = 1e-8
-    stationary_tol: float = 1e-10
-    estimation_units: int = 120_000
-    estimation_seed: int = 777
+    enabled: bool = ruled(True, bool)
+    vi_tol: float = ruled(1e-8, float, "(0, inf)")
+    stationary_tol: float = ruled(1e-10, float, "(0, inf)")
+    estimation_units: int = ruled(120_000, int, "[1, inf)")
+    estimation_seed: int = ruled(777, int, "[0, inf)")
 
     def __post_init__(self):
-        # NaN fails every comparison, so it is rejected with the rest.
-        for name in ("vi_tol", "stationary_tol"):
-            value = getattr(self, name)
-            if not _is_real(value) or not 0.0 < value < float("inf"):
-                raise ConfigError(f"oracle.{name}: must be positive and finite, got {value!r}")
-        for name, low in (("estimation_units", 1), ("estimation_seed", 0)):
-            object.__setattr__(self, name, _integer(f"oracle.{name}", getattr(self, name), low))
+        validate(self, "oracle")
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    dir: str = "out"
-    per_slot: bool = True
+    dir: str = ruled("out", str)
+    per_slot: bool = ruled(True, bool)
+
+    def __post_init__(self):
+        validate(self, "outputs")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str = ""
-    system: SystemConfig = field(default_factory=SystemConfig)
-    trace: TraceSpec = field(default_factory=TraceSpec)
-    learner: LearnerSpec = field(default_factory=LearnerSpec)
-    run: RunSpec = field(default_factory=RunSpec)
-    oracle: OracleSpec = field(default_factory=OracleSpec)
-    outputs: OutputSpec = field(default_factory=OutputSpec)
+    name: str = ruled("", str)
+    system: SystemConfig = ruled(SystemConfig, SystemConfig)
+    trace: TraceSpec = ruled(TraceSpec, TraceSpec)
+    learner: LearnerSpec = ruled(LearnerSpec, LearnerSpec)
+    run: RunSpec = ruled(RunSpec, RunSpec)
+    oracle: OracleSpec = ruled(OracleSpec, OracleSpec)
+    outputs: OutputSpec = ruled(OutputSpec, OutputSpec)
 
     def __post_init__(self):
+        validate(self, "")
+        system = self.system
+        if self.oracle.enabled:
+            cells = len(system.frequencies) * len(system.unit_types) * len(system.configs)
+            size = 8 * cells * (system.capacity + 1) ** 2
+            if size > MAX_MODEL_BYTES:
+                raise ConfigError(
+                    f"system.capacity: must keep the oracle's buffer factors within {MAX_MODEL_BYTES:.4g} "
+                    f"bytes, got {system.capacity} ({size:.4g} bytes); or set oracle.enabled: false"
+                )
         if self.trace.kind == "csv":  # the file's units, not the generator, are the workload
             return
         base, segments = self.trace.params()
-        _check_generator(base, self.system, "trace")
+        _check_generator(base, self, "trace")
         for i, (_, params) in enumerate(segments):
-            _check_generator(params, self.system, f"trace.segments[{i}]")
+            _check_generator(params, self, f"trace.segments[{i}]")
 
     @property
     def label(self) -> str:
         return self.name or self.learner.algorithm
 
 
-def _build_section(cls, data: dict, section: str):
+def _build_section(cls, data, section: str):
+    """cls from the mapping `data` of a config file's `section` ("" for the
+    root). A nested section or list of sections is built first, and each given
+    field is checked by its rule here, where a segment's name holds its index."""
+    where = section or "config root"
     if not isinstance(data, dict):
-        raise ConfigError(f"{section}: expected a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
+    rules = {f.name: f.metadata.get("rule") for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(rules))
     if unknown:
-        raise ConfigError(f"{section}: unknown field(s) {unknown}; known fields are {sorted(known)}")
-    try:
-        return cls(**data)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        raise ConfigError(f"{where}: unknown field(s) {unknown}; known fields are {sorted(rules)}")
+    values = {}
+    for name, value in data.items():
+        rule, path = rules[name], f"{section}.{name}" if section else name
+        if rule is not None and dataclasses.is_dataclass(rule.kind):
+            if not rule.depth:
+                value = _build_section(rule.kind, value, path)
+            elif isinstance(value, list):
+                value = [_build_section(rule.kind, item, f"{path}[{i}]") for i, item in enumerate(value)]
+        values[name] = value if rule is None else check_value(rule, path, value)
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root: expected a mapping, got {type(data).__name__}")
-    known = {"name", "system", "trace", "learner", "run", "oracle", "outputs"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"config root: unknown section(s) {unknown}; known are {sorted(known)}")
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError("name: expected a string")
-    trace_data = dict(data.get("trace", {})) if isinstance(data.get("trace", {}), dict) else data.get("trace")
-    if not isinstance(trace_data, dict):
-        raise ConfigError("trace: expected a mapping")
-    segments = trace_data.pop("segments", ())
-    if segments and not isinstance(segments, (list, tuple)):
-        raise ConfigError("trace.segments: expected a list")
-    seg_specs = tuple(
-        _build_section(SegmentSpec, seg, f"trace.segments[{i}]") for i, seg in enumerate(segments)
-    )
-    trace = _build_section(TraceSpec, {**trace_data, "segments": seg_specs}, "trace")
-    return ExperimentConfig(
-        name=name,
-        system=_build_section(SystemConfig, data.get("system", {}), "system"),
-        trace=trace,
-        learner=_build_section(LearnerSpec, data.get("learner", {}), "learner"),
-        run=_build_section(RunSpec, data.get("run", {}), "run"),
-        oracle=_build_section(OracleSpec, data.get("oracle", {}), "oracle"),
-        outputs=_build_section(OutputSpec, data.get("outputs", {}), "outputs"),
-    )
+    return _build_section(ExperimentConfig, data, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -629,16 +578,11 @@ class ExperimentResult:
     files: list[str]
 
 
-def _oracle_if_needed(cfg: ExperimentConfig, cache: dict) -> OracleResult | None:
-    """The oracle a run uses: None when disabled, a ConfigError when the
-    algorithm needs it but it is disabled. One oracle is computed per
-    distinct (gamma, oracle settings) pair in `cache`."""
+def _cached_oracle(cfg: ExperimentConfig, cache: dict) -> OracleResult | None:
+    """The oracle a run uses, None when disabled (make_learner rejects an
+    algorithm that needs it). One oracle is computed per distinct (gamma,
+    oracle settings) pair in `cache`."""
     if not cfg.oracle.enabled:
-        if cfg.learner.algorithm in ("oracle-greedy", "best-response-app", "best-response-os"):
-            raise ConfigError(
-                f"learner.algorithm: {cfg.learner.algorithm!r} needs the oracle; "
-                "set oracle.enabled: true"
-            )
         return None
     key = (cfg.learner.gamma, cfg.oracle)
     if key not in cache:
@@ -650,7 +594,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Execute one run per seed and write all artifacts under out_dir."""
     out = Path(out_dir if out_dir is not None else cfg.outputs.dir)
     out.mkdir(parents=True, exist_ok=True)
-    oracle = _oracle_if_needed(cfg, {})
+    oracle = _cached_oracle(cfg, {})
     runs = [run_single(cfg, seed, oracle) for seed in cfg.run.seeds]
     error_curves = [_error_curve(r, oracle) for r in runs]
 
@@ -733,7 +677,7 @@ def compare_experiments(configs: list[ExperimentConfig], out_dir) -> list[Experi
     reward_series = []
     error_series = []
     for label, cfg in zip(labels, configs):
-        oracle = _oracle_if_needed(cfg, oracle_cache)
+        oracle = _cached_oracle(cfg, oracle_cache)
         runs = [run_single(cfg, seed, oracle) for seed in cfg.run.seeds]
         error_curves = [_error_curve(r, oracle) for r in runs]
         results.append(ExperimentResult(cfg, oracle, runs, str(out), []))

@@ -8,14 +8,110 @@ through `validate`, `r`, `expected_next` (action-major) and `policy_step`
 (mu -> mu P_pi), so they run on either representation. The dense expansion
 of a factored model, `joint_model`, is a test reference in tests/reference.py.
 Nothing in this module knows about the concrete encoder/frequency system;
-states and actions are integer indices.
+states and actions are integer indices. The config schema starts here too:
+`Rule`, the one validator (`check_value`, `validate`) and `ConfigError`,
+since `LearningSchedule` is the lowest config class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Invalid or unparseable experiment configuration; names the field."""
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What one config field must hold.
+
+    `kind` is float (a finite real), int (an integral real, stored as an
+    int), bool, str or a config class. `bounds` is an interval for reals and
+    integers, such as "(0, 1]" or "[1, inf)". `choices` lists the allowed
+    strings, and `presets` names integer values. `depth` 1 asks for a list of
+    such values and 2 for a list of such lists: lists are stored as tuples and
+    their reals as floats, while a single real is kept as given. Lists are
+    non-empty unless `empty`, and hold no repeats when `distinct`. `null`
+    also allows None.
+    """
+
+    kind: type
+    bounds: str = ""
+    choices: tuple = ()
+    presets: dict | None = None
+    depth: int = 0
+    distinct: bool = False
+    empty: bool = False
+    null: bool = False
+
+
+def ruled(default, kind, bounds: str = "", **options):
+    """A dataclass field checked by Rule(kind, bounds, **options); a class
+    default is called for each new instance."""
+    metadata = {"rule": Rule(kind, bounds, **options)}
+    if isinstance(default, type):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _wants(rule: Rule) -> str:
+    """What a value of `rule` must be, as its error message says it."""
+    if rule.kind is int:
+        presets = f" or one of {', '.join(rule.presets)}" if rule.presets else ""
+        return f"an integer >= {rule.bounds[1:].split(',')[0]}{presets}"
+    if rule.kind is float:
+        words = {"": "finite", "(0, inf)": "positive and finite", "[0, inf)": "non-negative and finite"}
+        return words.get(rule.bounds, f"in {rule.bounds}")
+    if rule.choices:
+        return f"one of {', '.join(rule.choices)}"
+    words = {bool: "true or false", str: "a string"}.get(rule.kind, f"a {rule.kind.__name__}")
+    return words + (" or null" if rule.null else "")
+
+
+def check_value(rule: Rule, name: str, value, depth: int | None = None):
+    """`value` checked against `rule` and normalised (see Rule); a ConfigError
+    "name: must be ..., got ..." otherwise. List entries are named name[i]."""
+    depth = rule.depth if depth is None else depth
+    if value is None and rule.null:
+        return None
+    if depth:
+        if not isinstance(value, (list, tuple)) or not (value or rule.empty):
+            raise ConfigError(f"{name}: must be a {'' if rule.empty else 'non-empty '}list, got {value!r}")
+        items = tuple(check_value(rule, f"{name}[{i}]", v, depth - 1) for i, v in enumerate(value))
+        if rule.distinct:
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"{name}: duplicate {name.split('.')[-1].removesuffix('s')} {item!r}")
+        return tuple(map(float, items)) if depth == 1 and rule.kind is float else items
+    if rule.kind in (int, float):
+        if rule.presets and isinstance(value, str) and value in rule.presets:
+            return rule.presets[value]
+        low, high = (float(end) for end in rule.bounds[1:-1].split(",")) if rule.bounds else (-np.inf, np.inf)
+        if (
+            isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and abs(value) <= np.finfo(float).max.item()  # a Python int may be too large for a float
+            and (low <= value if rule.bounds[:1] == "[" else low < value)
+            and (value <= high if rule.bounds[-1:] == "]" else value < high)
+            and (rule.kind is float or value == int(value))
+        ):
+            return int(value) if rule.kind is int else value
+    elif isinstance(value, rule.kind) and (not rule.choices or value in rule.choices):
+        return value
+    raise ConfigError(f"{name}: must be {_wants(rule)}, got {value!r}")
+
+
+def validate(config, section: str) -> None:
+    """Check every ruled field of the config dataclass `config` as
+    section.field, and store its normalised value."""
+    for f in fields(config):
+        rule = f.metadata.get("rule")
+        if rule is not None:
+            name = f"{section}.{f.name}" if section else f.name
+            object.__setattr__(config, f.name, check_value(rule, name, getattr(config, f.name)))
 
 
 class ModelError(ValueError):
@@ -236,26 +332,15 @@ class LearningSchedule:
     "sqrt-decay" replaces the constant epsilon with min(1, 1/sqrt(1+n)).
     """
 
-    gamma: float = 0.9
-    epsilon: float = 0.1
-    epsilon_rule: str = "constant"  # constant | sqrt-decay
-    alpha_rule: str = "visit-decay"  # visit-decay | constant
-    alpha: float = 0.1
-    alpha_exponent: float = 0.6
+    gamma: float = ruled(0.9, float, "[0, 1)")
+    epsilon: float = ruled(0.1, float, "[0, 1]")
+    epsilon_rule: str = ruled("constant", str, choices=("constant", "sqrt-decay"))
+    alpha_rule: str = ruled("visit-decay", str, choices=("visit-decay", "constant"))
+    alpha: float = ruled(0.1, float, "[0, 1]")
+    alpha_exponent: float = ruled(0.6, float, "(0, inf)")
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.epsilon_rule not in ("constant", "sqrt-decay"):
-            raise ValueError(f"unknown epsilon_rule {self.epsilon_rule!r}")
-        if self.alpha_rule not in ("visit-decay", "constant"):
-            raise ValueError(f"unknown alpha_rule {self.alpha_rule!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.alpha_exponent > 0.0:
-            raise ValueError(f"alpha_exponent must be > 0, got {self.alpha_exponent}")
+        validate(self, "learner")  # the fields of the learner section that set the schedule
 
     def alpha_at(self, visits: int) -> float:
         if self.alpha_rule == "constant":

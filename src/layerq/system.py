@@ -16,13 +16,13 @@ with the tests that pin the two together.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import ActionSpace, FactoredModel, ModelError, StateSpace, TransitionModel
+from .mdp import (
+    ActionSpace, ConfigError, FactoredModel, ModelError, StateSpace, TransitionModel, ruled, validate
+)
 
 # Defaults for the five-frequency, three-type, three-config instance.
 DEFAULT_FREQUENCIES = (200e6, 400e6, 600e6, 800e6, 1000e6)
@@ -48,63 +48,36 @@ class SystemConfig:
     overflow-count penalty ("conventional").
     """
 
-    frequencies: tuple[float, ...] = DEFAULT_FREQUENCIES
-    switch_prob: float = 0.9
-    power_coeff: float = 1.5e-27
-    power_exp: float = 3.0
-    capacity: int = 50
-    arrival_rate: float = 44.0
-    initial_occupancy: int = 0
-    power_weight: float = 22.0 / 125.0
-    rd_weight: float = 22.0 / 1875.0
-    rd_lambda: float = 1.0 / 16.0
-    unit_types: tuple[str, ...] = DEFAULT_UNIT_TYPES
-    configs: tuple[str, ...] = DEFAULT_CONFIGS
-    type_transition: tuple[tuple[float, ...], ...] = DEFAULT_TYPE_TRANSITION
-    gain_mode: str = "proposed"
+    frequencies: tuple[float, ...] = ruled(DEFAULT_FREQUENCIES, float, "(0, inf)", depth=1)
+    switch_prob: float = ruled(0.9, float, "(0, 1]")
+    power_coeff: float = ruled(1.5e-27, float, "[0, inf)")
+    power_exp: float = ruled(3.0, float)
+    capacity: int = ruled(50, int, "[1, inf)")
+    arrival_rate: float = ruled(44.0, float, "(0, inf)")
+    initial_occupancy: int = ruled(0, int, "[0, inf)")
+    power_weight: float = ruled(22.0 / 125.0, float, "[0, inf)")
+    rd_weight: float = ruled(22.0 / 1875.0, float, "[0, inf)")
+    rd_lambda: float = ruled(1.0 / 16.0, float, "[0, inf)")
+    unit_types: tuple[str, ...] = ruled(DEFAULT_UNIT_TYPES, str, depth=1, distinct=True)
+    configs: tuple[str, ...] = ruled(DEFAULT_CONFIGS, str, depth=1, distinct=True)
+    type_transition: tuple[tuple[float, ...], ...] = ruled(
+        DEFAULT_TYPE_TRANSITION, float, "[0, 1]", depth=2
+    )
+    gain_mode: str = ruled("proposed", str, choices=("proposed", "conventional"))
 
     def __post_init__(self):
-        self.frequencies = tuple(float(f) for f in self.frequencies)
-        self.unit_types = tuple(self.unit_types)
-        self.configs = tuple(self.configs)
-        self.type_transition = tuple(tuple(float(x) for x in row) for row in self.type_transition)
-        for name in (
-            "switch_prob", "power_coeff", "power_exp", "arrival_rate",
-            "power_weight", "rd_weight", "rd_lambda",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not all(math.isfinite(f) for f in self.frequencies):
-            raise ValueError(f"frequencies must be finite, got {self.frequencies}")
-        for name in ("capacity", "initial_occupancy"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        if not self.frequencies or any(f <= 0 for f in self.frequencies):
-            raise ValueError("frequencies must be positive")
-        if any(a >= b for a, b in zip(self.frequencies, self.frequencies[1:])):
-            raise ValueError("frequencies must be strictly increasing")
-        if not 0.0 < self.switch_prob <= 1.0:
-            raise ValueError(f"switch_prob must be in (0, 1], got {self.switch_prob}")
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if self.arrival_rate <= 0.0:
-            raise ValueError("arrival_rate must be positive")
-        if not 0 <= self.initial_occupancy <= self.capacity:
-            raise ValueError("initial_occupancy outside buffer range")
-        if not self.unit_types or not self.configs:
-            raise ValueError("unit_types and configs must be non-empty")
+        validate(self, "system")
+        freqs = self.frequencies
+        if any(a >= b for a, b in zip(freqs, freqs[1:])):
+            raise ConfigError(f"system.frequencies: must be strictly increasing, got {list(freqs)}")
+        if self.initial_occupancy > self.capacity:
+            raise ConfigError(f"system.initial_occupancy: must be <= capacity, got {self.initial_occupancy}")
         n = len(self.unit_types)
-        if len(self.type_transition) != n or any(len(row) != n for row in self.type_transition):
-            raise ValueError("type_transition must be square over unit_types")
-        for row in self.type_transition:
-            if any(x < 0 for x in row):
-                raise ValueError("type_transition entries must be non-negative")
-            if abs(sum(row) - 1.0) > 1e-9:
-                raise ValueError("type_transition rows must sum to 1")
-        if self.gain_mode not in ("proposed", "conventional"):
-            raise ValueError(f"unknown gain_mode {self.gain_mode!r}")
+        if len(self.type_transition) != n:
+            raise ConfigError(f"system.type_transition: must have {n} rows, got {len(self.type_transition)}")
+        for i, row in enumerate(self.type_transition):
+            if len(row) != n or abs(sum(row) - 1.0) > 1e-9:
+                raise ConfigError(f"system.type_transition[{i}]: must be {n} reals summing to 1, got {row}")
 
     def state_space(self) -> StateSpace:
         return StateSpace(self.frequencies, self.unit_types, self.capacity)
