@@ -24,7 +24,7 @@ HORIZON = 20_000
 def main() -> None:
     cfg = SystemConfig()
     rng = np.random.default_rng(1)
-    source = StationarySource(default_generator_params(), cfg.unit_types, rng)
+    source = StationarySource([(np.inf, default_generator_params())], cfg.unit_types, rng)
     sim = Simulator(cfg, source, rng)
     learner = CentralizedQLearner(cfg, LearningSchedule(), rng)
 

@@ -31,7 +31,6 @@ from .system import (
 from .traces import (
     CoverageError,
     GeneratorParams,
-    NonstationarySource,
     ReplaySource,
     StationarySource,
     TraceColumns,

@@ -37,7 +37,6 @@ from .metrics import RunStats, error_curve
 from .svgplot import line_chart
 from .system import Simulator, SystemConfig, assemble_factored_model
 from .traces import (
-    NonstationarySource,
     ReplaySource,
     StationarySource,
     UnknownLabelError,
@@ -255,6 +254,24 @@ class ExperimentConfig:
                     f"system.capacity: must keep the oracle's buffer factors within {MAX_MODEL_BYTES:.4g} "
                     f"bytes, got {system.capacity} ({size:.4g} bytes); or set oracle.enabled: false"
                 )
+        # The run's summed power cost at the costliest frequency must be finite:
+        # power_watts raises an OverflowError on a power table past a float, and
+        # a finite table can still sum the reward to -inf. A table past a float
+        # is blamed on power_exp when it exceeds the cubic law's 3, else on the
+        # frequencies.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.asarray(system.frequencies) ** system.power_exp
+            power = system.power_coeff * scale
+            total = system.power_weight * power.max() * self.run.horizon
+        if not np.isfinite(total):
+            if not np.isfinite(scale).all():
+                field = "power_exp" if abs(system.power_exp) > 3 else "frequencies"
+            else:
+                field = "power_weight" if np.isfinite(power).all() else "power_coeff"
+            raise ConfigError(
+                f"system.{field}: must keep power_weight * power_coeff * f**power_exp * run.horizon "
+                f"finite at every frequency, got {total:.4g} over {self.run.horizon} slots"
+            )
         if self.trace.kind == "csv":  # the file's units, not the generator, are the workload
             return
         base, segments = self.trace.params()
@@ -340,8 +357,8 @@ def make_source(cfg: ExperimentConfig, rng: np.random.Generator):
         return ReplaySource(_load_trace(cfg), unit_types)
     base, segments = trace.params()
     if trace.kind == "synthetic":
-        return StationarySource(base, unit_types, rng)
-    return NonstationarySource(segments, unit_types, rng)
+        segments = [(np.inf, base)]
+    return StationarySource(segments, unit_types, rng)
 
 
 # Draws per chunk of the estimation trace's type walk.

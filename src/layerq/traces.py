@@ -4,7 +4,8 @@ Every sample carries (bits, distortion, cycles) for all encoder configurations
 of one data unit. Streams come from CSV files (replay), or from synthetic
 generators: lognormal cycle counts and normals clipped at zero for bits and
 distortion, i.i.d. per (type, config) in the stationary regime and
-piecewise-stationary in the non-stationary regime.
+piecewise-stationary in the non-stationary regime. One block source draws both:
+a stationary trace is one segment that never ends.
 
 The type sequence itself is not produced here: the simulator owns the type
 Markov chain and asks a source for the next sample of a given type.
@@ -204,73 +205,49 @@ def default_generator_params() -> GeneratorParams:
 
 
 class StationarySource:
-    """Draw-on-demand i.i.d. samples per type; vectorized in blocks."""
+    """Draw-on-demand samples per type from a schedule of generator segments.
 
-    def __init__(self, params: GeneratorParams, unit_types, rng: np.random.Generator, block: int = 4096):
-        self.params = params
+    segments is a list of (duration, GeneratorParams); a stationary trace is
+    one segment of infinite duration (np.inf), and a schedule cycles when the
+    stream outlives it. Each type is drawn in blocks of min(block, draws left
+    in the segment) units, and every block is dropped when a segment ends, so
+    each boundary lands on its exact draw index and no block reaches past it.
+    """
+
+    def __init__(self, segments, unit_types, rng: np.random.Generator, block: int = 4096):
+        if not segments:
+            raise ValueError("need at least one segment")
+        if any(d <= 0 for d, _ in segments):
+            raise ValueError("segment durations must be positive")
+        self.segments = list(segments)
         self.unit_types = tuple(unit_types)
         self.rng = rng
         self.block = block
+        self._segment = -1
+        self._count = 0
+        self._start_segment()
+
+    def _start_segment(self) -> None:
+        self._segment = (self._segment + 1) % len(self.segments)
+        self._left, params = self.segments[self._segment]  # draws left in the segment
         self._cells = [params.for_type(label) for label in self.unit_types]
-        self._buffers: list[list] = [[] for _ in self.unit_types]
+        self._buffers = [()] * len(self.unit_types)
+        self._sizes = [0] * len(self.unit_types)
         self._cursors = [0] * len(self.unit_types)
-        self._count = 0
-
-    def _refill(self, type_idx: int) -> None:
-        self._buffers[type_idx] = list(_draw_cells(self._cells[type_idx], self.block, self.rng))
-        self._cursors[type_idx] = 0
 
     def draw(self, type_idx: int) -> TraceSample:
+        if not self._left:
+            self._start_segment()
         cursor = self._cursors[type_idx]
-        buf = self._buffers[type_idx]
-        if not buf or cursor >= self.block:
-            self._refill(type_idx)
-            buf = self._buffers[type_idx]
+        if cursor == self._sizes[type_idx]:
+            n = self._sizes[type_idx] = min(self.block, self._left)
+            self._buffers[type_idx] = _draw_cells(self._cells[type_idx], n, self.rng)
             cursor = 0
+        buf = self._buffers[type_idx]
         self._cursors[type_idx] = cursor + 1
-        sample = TraceSample(
-            index=self._count,
-            unit_type=self.unit_types[type_idx],
-            bits=buf[0][cursor],
-            distortion=buf[1][cursor],
-            cycles=buf[2][cursor],
-        )
-        self._count += 1
-        return sample
-
-
-class NonstationarySource:
-    """Piecewise-stationary: segment params switch at global draw counts.
-
-    segments is a list of (duration, GeneratorParams); the schedule cycles
-    when the stream outlives it. Draws are not block-buffered so a segment
-    boundary lands exactly at its draw index.
-    """
-
-    def __init__(self, segments, unit_types, rng: np.random.Generator):
-        if not segments:
-            raise ValueError("need at least one segment")
-        self.segments = [(int(d), p) for d, p in segments]
-        if any(d <= 0 for d, _ in self.segments):
-            raise ValueError("segment durations must be positive")
-        self.unit_types = tuple(unit_types)
-        self.rng = rng
-        self._total = sum(d for d, _ in self.segments)
-        self._count = 0
-
-    def _params_at(self, n: int) -> GeneratorParams:
-        offset = n % self._total
-        for duration, params in self.segments:
-            if offset < duration:
-                return params
-            offset -= duration
-        raise AssertionError("unreachable")
-
-    def draw(self, type_idx: int) -> TraceSample:
-        params = self._params_at(self._count)
+        self._left -= 1
         label = self.unit_types[type_idx]
-        bits, dist, cyc = _draw_cells(params.for_type(label), 1, self.rng)
-        sample = TraceSample(self._count, label, bits[0], dist[0], cyc[0])
+        sample = TraceSample(self._count, label, buf[0][cursor], buf[1][cursor], buf[2][cursor])
         self._count += 1
         return sample
 

@@ -88,7 +88,7 @@ def small_sim(seed: int, cfg: SystemConfig = None, params: GeneratorParams = Non
     cfg = cfg if cfg is not None else small_config()
     params = params if params is not None else small_params()
     rng = np.random.default_rng(seed)
-    source = StationarySource(params, cfg.unit_types, rng)
+    source = StationarySource([(np.inf, params)], cfg.unit_types, rng)
     return Simulator(cfg, source, rng), rng
 
 

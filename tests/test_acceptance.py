@@ -245,7 +245,7 @@ def test_virtual_tuples_match_forced_steps():
     t0 = time.perf_counter()
     cfg = SystemConfig()
     rng = np.random.default_rng(99)
-    source = StationarySource(default_generator_params(), cfg.unit_types, rng)
+    source = StationarySource([(np.inf, default_generator_params())], cfg.unit_types, rng)
     sim = Simulator(cfg, source, rng)
     ets = []
     for _ in range(10_000):

@@ -57,14 +57,18 @@ def with_segment(**scales) -> dict:
     ({"trace": with_segment(bits_scale=1e305)}, "trace.segments[1].bits_scale"),
     # the oracle's buffer factors would take 9 GB
     ({"system": {"capacity": 5000}}, "system.capacity"),
+    # the power table overflows a float mid-run, or the reward sums to -inf
+    ({"system": {"frequencies": [1e200, 2e200]}}, "system.frequencies"),
+    ({"system": {"power_exp": 1e6}}, "system.power_exp"),
+    ({"system": {"power_weight": 1e308}}, "system.power_weight"),
 ])
 def test_bad_fields_fail_at_load_naming_the_field(data, field):
     """Each of these loaded, or failed without naming the field, before the
     fields had rules: a fractional, negative or string seed list ran the wrong
     seeds or failed mid-run, a quoted "false" counted as true, labels repeated
     or were not strings, an integer too large for a float raised an
-    OverflowError, and without the two bounds a run summed its reward to -inf
-    or the oracle asked for 9 GB."""
+    OverflowError, and without the three bounds a run summed its reward to
+    -inf, the power table overflowed mid-run or the oracle asked for 9 GB."""
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)}(\[\d+\])*: "):
         config_from_dict(data)
 

@@ -17,7 +17,6 @@ from layerq import (
     GraceController,
     LayeredQLearner,
     LearnerSpec,
-    NonstationarySource,
     OracleSpec,
     ReplaySource,
     RunSpec,
@@ -180,7 +179,7 @@ def test_make_source_kinds(tmp_path):
     ns = quick_cfg(
         trace={"kind": "nonstationary", "segments": [{"duration": 8, "cycles_scale": 1.2}]}
     )
-    assert isinstance(make_source(ns, rng), NonstationarySource)
+    assert isinstance(make_source(ns, rng), StationarySource)
     from layerq import save_csv
 
     trace = synth_stationary(
@@ -684,6 +683,10 @@ def test_learner_integral_fields_accept_integral_floats():
     ({"cycles_scale": 100}, r"trace\.cycles_scale: 1782 mean arrivals per slot at the lowest frequency .* cap of 1000"),
     ({"kind": "nonstationary", "cycles_scale": 10, "segments": [{"duration": 5}, {"duration": 5, "cycles_scale": 10}]},
      r"trace\.segments\[1\]\.cycles_scale: 1782 mean arrivals per slot"),
+], ids=[
+    "bits_scale-nan", "cycles_scale-inf", "segments0-distortion_scale-nan", "segments0-cycles_scale-inf",
+    "segments0-duration-2.5", "cycles_scale-1e305", "bits_scale-1e308", "distortion_scale-1e308",
+    "segments1-bits_scale-1e154", "cycles_scale-100", "segments1-cycles_scale-10",
 ])
 def test_bad_trace_numbers_are_config_errors(trace, message):
     """A NaN bits_scale gave a NaN mean reward with no error, and an infinite

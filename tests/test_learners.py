@@ -90,7 +90,7 @@ def constant_env():
     cell = TripleDistribution(3e7, 0.0, 10.0, 0.0, 1.0, 0.0)  # arrivals floor(1.32)=1
     params = GeneratorParams(configs=("h1",), per_type={"P": (cell,)})
     rng = np.random.default_rng(0)
-    return cfg, Simulator(cfg, StationarySource(params, ("P",), rng), rng)
+    return cfg, Simulator(cfg, StationarySource([(np.inf, params)], ("P",), rng), rng)
 
 
 def test_centralized_visit_decay_sequence():
@@ -314,7 +314,7 @@ def test_virtual_expand_matches_forced_step():
     same arrivals, costs, and switch/type outcomes."""
     cfg = SystemConfig()
     rng = np.random.default_rng(12)
-    source = StationarySource(default_generator_params(), cfg.unit_types, rng)
+    source = StationarySource([(np.inf, default_generator_params())], cfg.unit_types, rng)
     sim = Simulator(cfg, source, rng)
     for _ in range(5):
         sim.slot(int(rng.integers(5)), int(rng.integers(3)))
@@ -623,7 +623,7 @@ def test_grace_config_warm_start_then_argmin():
     )
     params = GeneratorParams(configs=("h1", "h2", "h3"), per_type={"P": cells})
     rng = np.random.default_rng(0)
-    sim = Simulator(cfg, StationarySource(params, ("P",), rng), rng)
+    sim = Simulator(cfg, StationarySource([(np.inf, params)], ("P",), rng), rng)
     grace = GraceController(cfg)
     commands, configs = [], []
     for _ in range(8):
@@ -673,7 +673,7 @@ def test_best_response_single_action_is_policy_evaluation():
     v_ref = np.linalg.solve(np.eye(24) - 0.9 * chain, model.r[np.arange(24), policy_os])
 
     rng = np.random.default_rng(23)
-    source = StationarySource(params, cfg.unit_types, rng)
+    source = StationarySource([(np.inf, params)], cfg.unit_types, rng)
     sim = Simulator(cfg, source, rng)
     learner = BestResponseLearner(cfg, LearningSchedule(gamma=0.9), rng, "app", policy_os)
     for _ in range(200_000):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import small_config, small_params
+from layerq import traces
 from layerq import (
     CoverageError,
     GeneratorParams,
-    NonstationarySource,
     ReplaySource,
     StationarySource,
     SystemConfig,
@@ -110,28 +110,65 @@ def test_default_params_shape():
 
 
 def test_stationary_source_deterministic_across_refills():
+    """An endless segment refills each type a whole block at a time, in the
+    order the types run out, from the one rng."""
     params = small_params()
-    a = StationarySource(params, ("P", "B"), np.random.default_rng(5), block=16)
-    b = StationarySource(params, ("P", "B"), np.random.default_rng(5), block=16)
+    a = StationarySource([(np.inf, params)], ("P", "B"), np.random.default_rng(5), block=16)
+    b = StationarySource([(np.inf, params)], ("P", "B"), np.random.default_rng(5), block=16)
+    rng = np.random.default_rng(5)
+    blocks = {}
     for i in range(64):
         type_idx = i % 2
+        if i % 32 < 2:  # P runs out at draws 0 and 32, B at 1 and 33
+            blocks[type_idx] = traces._draw_cells(params.for_type(("P", "B")[type_idx]), 16, rng)
         sa, sb = a.draw(type_idx), b.draw(type_idx)
         assert sa.unit_type == sb.unit_type == ("P", "B")[type_idx]
         assert np.array_equal(sa.cycles, sb.cycles)
         assert np.array_equal(sa.bits, sb.bits)
+        assert np.array_equal(sa.cycles, blocks[type_idx][2][i % 32 // 2])
         assert sa.index == sb.index == i
 
 
-def test_nonstationary_boundaries_and_cycling():
-    params_a = point_params(cycles_a=4e6, cycles_b=4e6)
-    params_b = point_params(cycles_a=8e6, cycles_b=8e6)
-    source = NonstationarySource([(5, params_a), (3, params_b)], ("P", "B"), np.random.default_rng(0))
+def test_nonstationary_boundaries_and_cycling(monkeypatch):
+    """Segments shorter than, equal to and longer than a block, and one that
+    never ends: every sample comes from the segment of its draw index, the
+    schedule cycles, and each refill asks for min(block, draws left in the
+    segment) units, so no block reaches past a boundary."""
+    block = 8
+    asked = []  # (draw index, units) of each refill
+    draw_cells = traces._draw_cells
+
+    def counted(cells, n, rng):
+        asked.append((source._count, n))
+        return draw_cells(cells, n, rng)
+
+    monkeypatch.setattr(traces, "_draw_cells", counted)
+    types = np.random.default_rng(1).integers(0, 2, size=64)
+    for durations in [(5, 3), (3, 8, 13), (8, 8), (20,), (np.inf,)]:
+        # point masses with a distinct cycle count per (segment, type)
+        schedule = [(d, point_params(1e6 * (2 * k + 1), 1e6 * (2 * k + 2))) for k, d in enumerate(durations)]
+        source = StationarySource(schedule, ("P", "B"), np.random.default_rng(0), block=block)
+        asked.clear()
+        ends = np.cumsum(durations)
+
+        def segment_at(i):
+            k = int(np.searchsorted(ends, i % ends[-1], side="right"))
+            return k, i - i % ends[-1] + ends[k]  # the segment, and the draw index it ends at
+
+        for i, type_idx in enumerate(types):
+            k, _ = segment_at(i)
+            label = ("P", "B")[type_idx]
+            assert source.draw(type_idx).cycles[0] == schedule[k][1].for_type(label)[0].cycles_mean
+        assert asked and all(n == min(block, segment_at(i)[1] - i) for i, n in asked)
+    # a boundary lands on its exact draw index
+    source = StationarySource([(5, point_params(4e6, 4e6)), (3, point_params(8e6, 8e6))],
+                              ("P", "B"), np.random.default_rng(0))
     cycles = [source.draw(i % 2).cycles[0] for i in range(16)]
     assert cycles == [4e6] * 5 + [8e6] * 3 + [4e6] * 5 + [8e6] * 3
     with pytest.raises(ValueError):
-        NonstationarySource([], ("P",), np.random.default_rng(0))
+        StationarySource([], ("P",), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        NonstationarySource([(0, params_a)], ("P",), np.random.default_rng(0))
+        StationarySource([(0, point_params())], ("P",), np.random.default_rng(0))
 
 
 def make_rows(labels):
